@@ -4,15 +4,11 @@ experiment harnesses."""
 
 from .lift import (
     LiftShape,
-    apply_weights,
     hankel_basis_matrix,
     hankel_weights,
     iso_lift,
     iso_lift_adjoint,
-    lifted_block,
-    stack_permutation,
     stacked_hankel,
-    two_level_lift,
     vec_hankel,
     vec_hankel_adjoint,
 )
@@ -50,6 +46,7 @@ from .estimate import (
     PseudospectrumCurve,
     RecoveredSources,
     default_grid,
+    noise_subspace,
     noise_subspace_mmv,
     noise_subspace_single,
     noise_subspace_vhm,
@@ -57,7 +54,6 @@ from .estimate import (
     pseudospectrum,
     recover_amplitudes,
     save_pseudospectrum_csv,
-    save_sources,
 )
 from .bench import (
     PhaseTransitionConfig,

@@ -9,21 +9,21 @@ trial.
 Determinism contract: trial t of cell c draws its generator from
 SeedSequence((base_seed, c, t)), and per-trial results land in preallocated
 arrays indexed by (cell, trial) before any reduction, so outputs are
-byte-identical regardless of worker count or scheduling order.
+byte-identical regardless of worker count or scheduling order.  Progress
+lines are emitted in task order for the same reason.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .estimate import (
     default_grid,
-    noise_subspace_mmv,
-    noise_subspace_single,
-    noise_subspace_vhm,
+    noise_subspace,
+    parse_estimator,
     pick_peaks,
     pseudospectrum,
 )
@@ -160,30 +160,24 @@ def _phase_trial(config: PhaseTransitionConfig, cell: int, params: dict,
         y = apply_measurement(X, B)
         rep = solve_vhl(y, B, LiftShape.default(n, s), config.solver)
         return relative_error(rep.X_hat, X)
-    except Exception:
-        # a failed trial is a non-success, never a dead grid
+    except (ValueError, ArithmeticError):
+        # a failed trial is a non-success, never a dead grid; other
+        # exceptions are bugs and propagate
         return np.inf
 
 
 def _run_tasks(tasks, runner, workers, progress):
-    """Execute (slot, label) tasks; results keyed by slot so scheduling
-    order never affects the output arrays."""
-    if workers <= 1:
-        for slot, label in tasks:
-            value = runner(slot)
+    """Execute (slot, label) tasks; results are keyed by slot and consumed
+    in task order, so neither the output arrays nor the progress lines
+    depend on scheduling."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [(slot, label, pool.submit(runner, slot))
+                   for slot, label in tasks]
+        for slot, label, fut in futures:
+            value = fut.result()
             yield slot, value
             if progress is not None:
                 progress("%s: %.3e" % (label, np.max(value)))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(runner, slot): (slot, label)
-                       for slot, label in tasks}
-            for fut in as_completed(futures):
-                slot, label = futures[fut]
-                value = fut.result()
-                yield slot, value
-                if progress is not None:
-                    progress("%s: %.3e" % (label, np.max(value)))
 
 
 def run_phase_transition(config: PhaseTransitionConfig, workers: int = 1,
@@ -213,45 +207,11 @@ def run_phase_transition(config: PhaseTransitionConfig, workers: int = 1,
 
 # ---------------------------------------------------------------- SNR sweep
 
-def parse_estimator(name: str, s: int, r: int) -> tuple[str, int]:
-    """Validate an estimator tag against the instance dimensions.
-
-    Tags: "vhm" (all rows), "vhm:K" (first K rows), "single" (first row),
-    "mmv" (needs r <= s).  Returns (kind, rows).
-    """
-    if name == "mmv":
-        if r > s:
-            raise ValueError("mmv needs r <= s")
-        return "mmv", s
-    if name == "single":
-        return "single", 1
-    if name == "vhm":
-        return "vhm", s
-    if name.startswith("vhm:"):
-        try:
-            rows = int(name.split(":", 1)[1])
-        except ValueError:
-            raise ValueError("bad estimator tag %r" % name) from None
-        if not 1 <= rows <= s:
-            raise ValueError("estimator %r wants %d rows but s=%d"
-                             % (name, rows, s))
-        return "vhm", rows
-    raise ValueError("unknown estimator %r" % name)
-
-
 def estimate_frequencies(X: np.ndarray, r: int, estimator: str,
                          grid: np.ndarray | None = None) -> np.ndarray:
     """Run one named estimator on a data matrix and return r frequencies."""
-    X = np.atleast_2d(np.asarray(X))
-    s, n = X.shape
-    kind, rows = parse_estimator(estimator, s, r)
-    if kind == "mmv":
-        ns = noise_subspace_mmv(X, r)
-    elif kind == "single":
-        ns = noise_subspace_single(X[0], r, LiftShape.default(n, 1))
-    else:
-        ns = noise_subspace_vhm(X[:rows], r, LiftShape.default(n, rows))
-    return pick_peaks(pseudospectrum(ns, grid), r).taus
+    return pick_peaks(pseudospectrum(noise_subspace(X, r, estimator), grid),
+                      r).taus
 
 
 @dataclass

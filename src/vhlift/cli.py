@@ -2,9 +2,11 @@
 the two Monte Carlo experiment harnesses.
 
 Every subcommand is a thin adapter around the library modules; it parses
-and validates options, calls the library, and writes files.  Option
-precedence is flags over --config JSON over built-in defaults.  Exit codes:
-0 success, 2 usage or validation problem, 3 solver hit the iteration cap,
+and validates options, calls the library, and writes files.  Each
+subcommand's options are one table of Opt rows, from which both the
+argparse flags and the accepted --config keys derive.  Option precedence
+is flags over --config JSON over built-in defaults.  Exit codes: 0
+success, 2 usage or validation problem, 3 solver hit the iteration cap,
 4 I/O failure.
 """
 
@@ -30,9 +32,7 @@ from .bench import (
 )
 from .estimate import (
     default_grid,
-    noise_subspace_mmv,
-    noise_subspace_single,
-    noise_subspace_vhm,
+    noise_subspace,
     pick_peaks,
     pseudospectrum,
     recover_amplitudes,
@@ -65,24 +65,7 @@ class CliError(Exception):
         self.code = code
 
 
-def _merged(args, defaults: dict) -> dict:
-    """flags > config-file keys > defaults."""
-    opts = dict(defaults)
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise CliError("config file must hold a JSON object")
-        unknown = sorted(set(doc) - set(defaults))
-        if unknown:
-            raise CliError("unknown config keys: %s" % ", ".join(unknown))
-        opts.update(doc)
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            opts[key] = val
-    return opts
-
+# ---------------------------------------------------------------- values
 
 def _positive_int(opts, key) -> int:
     try:
@@ -94,7 +77,8 @@ def _positive_int(opts, key) -> int:
     return v
 
 
-def _int_list(text) -> tuple:
+def _int_list(opts, key) -> tuple:
+    text = opts[key]
     try:
         vals = tuple(int(tok) for tok in str(text).split(","))
     except ValueError:
@@ -105,7 +89,8 @@ def _int_list(text) -> tuple:
     return vals
 
 
-def _float_list(text) -> tuple:
+def _float_list(opts, key) -> tuple:
+    text = opts[key]
     try:
         return tuple(float(tok) for tok in str(text).split(","))
     except ValueError:
@@ -113,38 +98,171 @@ def _float_list(text) -> tuple:
                        % (text,)) from None
 
 
-def _solver_config(opts) -> SolverConfig:
-    try:
-        return SolverConfig(rho=float(opts["rho"]),
-                            max_iters=_positive_int(opts, "max_iters"),
-                            tol_rel=float(opts["tol"]),
-                            svt_rank_cap=None if opts.get("rank_cap") is None
-                            else _positive_int(opts, "rank_cap"))
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+def _str_list(opts, key) -> tuple:
+    return tuple(str(opts[key]).split(","))
 
 
-def _shape(n, s, n1) -> LiftShape:
+def _parse_fixed(opts, key) -> dict:
+    text = opts[key]
+    parts = str(text).split("=")
+    if len(parts) != 2:
+        raise CliError("--fixed must look like name=value, got %r"
+                       % (text,))
     try:
-        return LiftShape.default(n, s, n1=None if n1 is None else int(n1))
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+        return {parts[0].strip(): int(parts[1])}
+    except ValueError:
+        raise CliError("--fixed value must be an integer") from None
+
+
+def _as(conv):
+    return lambda opts, key: conv(opts[key])
+
+
+def _optional(parse):
+    return lambda opts, key: None if opts[key] is None else parse(opts, key)
+
+
+_maybe_int = _optional(_as(int))
+_maybe_float = _optional(_as(float))
 
 
 def _out(opts, name: str) -> str:
     return os.path.join(opts["out_dir"], name)
 
 
-# ---------------------------------------------------------------- synth
+# ---------------------------------------------------------------- options
 
-SYNTH_DEFAULTS = {
-    "n": 64, "s": 3, "r": 4, "seed": 0, "distribution": "gaussian",
-    "snr": None, "delta": None, "orient_law": "gaussian", "out_dir": ".",
-}
+class Opt:
+    """One option of a subcommand.
+
+    `key` is its --config key and, with dashes for underscores, its flag.
+    An option with a `field` fills that field of the subcommand's config
+    dataclass through `parse(opts, key)` (by default the argparse type, or
+    str); unless a flag or the config file sets it, the dataclass default
+    applies.  Any other option starts at `default`.  The remaining keywords
+    go to add_argument.
+    """
+
+    def __init__(self, key, default=None, field=None, parse=None, **spec):
+        self.key = key
+        self.default = default
+        self.field = field
+        self.parse = parse or _as(spec.get("type", str))
+        self.spec = spec
 
 
-def cmd_synth(args) -> int:
-    opts = _merged(args, SYNTH_DEFAULTS)
+def _fields(opts, table) -> dict:
+    """Config-dataclass keyword arguments from the table's set options."""
+    return {o.field: o.parse(opts, o.key) for o in table
+            if o.field is not None and o.key in opts}
+
+
+def _merged(args, table) -> dict:
+    """flags > config-file keys > defaults."""
+    opts = {o.key: o.default for o in table if o.field is None}
+    if args.config:
+        with open(args.config) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise CliError("config file must hold a JSON object")
+        unknown = sorted(set(doc) - {o.key for o in table})
+        if unknown:
+            raise CliError("unknown config keys: %s" % ", ".join(unknown))
+        opts.update(doc)
+    for o in table:
+        val = getattr(args, o.key)
+        if val is not None:
+            opts[o.key] = val
+    return opts
+
+
+DISTRIBUTIONS = ("gaussian", "rademacher", "dftrows")
+ORIENT_LAWS = ("gaussian", "bernoulli")
+
+OUT_DIR = Opt("out_dir", ".", help="directory for output files (default .)")
+
+SYNTH = (
+    OUT_DIR,
+    Opt("n", 64, type=int),
+    Opt("s", 3, type=int),
+    Opt("r", 4, type=int),
+    Opt("seed", 0, type=int),
+    Opt("distribution", "gaussian", choices=DISTRIBUTIONS),
+    Opt("snr", type=float, help="add noise to X.csv at this SNR"),
+    Opt("delta", type=float, help="minimum wraparound separation"),
+    Opt("orient_law", "gaussian", choices=ORIENT_LAWS),
+)
+
+SOLVER = (  # SolverConfig fields
+    Opt("rho", field="rho", type=float),
+    Opt("tol", field="tol_rel", type=float),
+    Opt("max_iters", field="max_iters", parse=_positive_int, type=int),
+    Opt("rank_cap", field="svt_rank_cap", parse=_optional(_positive_int),
+        type=int),
+)
+
+SOLVE = (
+    OUT_DIR,
+    Opt("model", "model.json", help="problem JSON from synth"),
+    Opt("y", "y.csv", help="measurement CSV"),
+    *SOLVER,
+    Opt("n1", type=int, help="override the lift split"),
+)
+
+MUSIC = (
+    OUT_DIR,
+    Opt("x", "X.csv", help="data matrix CSV"),
+    Opt("r", type=int, help="model order (required)"),
+    Opt("estimator", "vhm", choices=("vhm", "single", "mmv")),
+    Opt("row", 0, type=int, help="row used by --estimator single"),
+    Opt("rows", type=int, help="leading rows used by vhm"),
+    Opt("grid_step", 1e-4, type=float),
+    Opt("n1", type=int),
+    Opt("svg", False, action="store_const", const=True,
+        help="also write pseudospectrum.svg"),
+)
+
+GRID = (  # PhaseTransitionConfig fields
+    Opt("axis1", field="axis1_name"),
+    Opt("values1", field="axis1_values", parse=_int_list),
+    Opt("axis2", field="axis2_name"),
+    Opt("values2", field="axis2_values", parse=_int_list),
+    Opt("fixed", field="fixed", parse=_parse_fixed,
+        help="remaining parameter, e.g. n=64"),
+    Opt("trials", field="trials", parse=_positive_int, type=int),
+    Opt("threshold", field="threshold", type=float),
+    Opt("seed", field="base_seed", type=int),
+    Opt("distribution", field="distribution", choices=DISTRIBUTIONS),
+    Opt("delta", field="delta", parse=_maybe_float, type=float),
+    Opt("orient_law", field="orient_law", choices=ORIENT_LAWS),
+)
+
+THREADS = Opt("threads", 1, type=int)
+
+PHASE = (OUT_DIR, *GRID, *SOLVER, THREADS)
+
+SWEEP = (  # SweepConfig fields, then threads
+    OUT_DIR,
+    Opt("n", field="n", parse=_positive_int, type=int),
+    Opt("s", field="s", parse=_positive_int, type=int),
+    Opt("r", field="r", parse=_positive_int, type=int),
+    Opt("snr", field="snr_db", parse=_float_list,
+        help="comma list of SNR dB values (inf allowed)"),
+    Opt("estimators", field="estimators", parse=_str_list,
+        help="comma list from vhm, vhm:K, single, mmv"),
+    Opt("trials", field="trials", parse=_positive_int, type=int),
+    Opt("delta", field="delta", parse=_maybe_float, type=float),
+    Opt("orient_law", field="orient_law", choices=ORIENT_LAWS),
+    Opt("metric", field="metric", choices=("plain", "wraparound")),
+    Opt("grid_step", field="grid_step", type=float),
+    Opt("seed", field="base_seed", type=int),
+    THREADS,
+)
+
+
+# ---------------------------------------------------------------- commands
+
+def cmd_synth(opts) -> int:
     n = _positive_int(opts, "n")
     s = _positive_int(opts, "s")
     r = _positive_int(opts, "r")
@@ -152,20 +270,15 @@ def cmd_synth(args) -> int:
         raise CliError("need n >= s, got n=%d s=%d" % (n, s))
     seed = int(opts["seed"])
     rng = np.random.default_rng(seed)
-    try:
-        model = sample_model(r, s, seed=rng,
-                             delta=None if opts["delta"] is None
-                             else float(opts["delta"]),
-                             orient_law=str(opts["orient_law"]))
-        subspace = sample_subspace(str(opts["distribution"]), n, s, seed=rng)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    model = sample_model(r, s, seed=rng, delta=_maybe_float(opts, "delta"),
+                         orient_law=str(opts["orient_law"]))
+    subspace = sample_subspace(str(opts["distribution"]), n, s, seed=rng)
     subspace.seed = seed
     X = synthesize_data_matrix(model, n)
     y = apply_measurement(X, subspace)
     X_out = X if opts["snr"] is None else add_noise(X, float(opts["snr"]),
                                                     seed=rng)
-    diag = incoherence_diagnostic(model, _shape(n, s, None))
+    diag = incoherence_diagnostic(model, LiftShape.default(n, s))
     save_problem(_out(opts, "model.json"), model, subspace)
     io.write_complex_matrix_csv(_out(opts, "X.csv"), X_out)
     io.write_complex_vector_csv(_out(opts, "y.csv"), y)
@@ -174,23 +287,15 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------- solve
-
-SOLVE_DEFAULTS = {
-    "model": "model.json", "y": "y.csv", "out_dir": ".",
-    "rho": 1.0, "tol": 1e-7, "max_iters": 5000, "rank_cap": None, "n1": None,
-}
-
-
-def cmd_solve(args) -> int:
-    opts = _merged(args, SOLVE_DEFAULTS)
+def cmd_solve(opts) -> int:
     _, subspace = load_problem(opts["model"])
     y = io.read_complex_vector_csv(opts["y"])
     if y.shape[0] != subspace.n:
         raise CliError("measurement length %d does not match the sensing "
                        "matrix (%d rows)" % (y.shape[0], subspace.n))
-    shape = _shape(subspace.n, subspace.s, opts["n1"])
-    report = solve_vhl(y, subspace, shape, _solver_config(opts))
+    shape = LiftShape.default(subspace.n, subspace.s, _maybe_int(opts, "n1"))
+    report = solve_vhl(y, subspace, shape,
+                       SolverConfig(**_fields(opts, SOLVER)))
     save_report(_out(opts, "report.json"), report)
     io.write_complex_matrix_csv(_out(opts, "Xhat.csv"), report.X_hat)
     print("solve: %s in %d iters, primal %.3e, dual %.3e, nuclear norm %.6g"
@@ -200,50 +305,32 @@ def cmd_solve(args) -> int:
     return EXIT_OK if report.converged else EXIT_NONCONV
 
 
-# ---------------------------------------------------------------- music
-
-MUSIC_DEFAULTS = {
-    "x": "X.csv", "r": None, "estimator": "vhm", "row": 0, "rows": None,
-    "grid_step": 1e-4, "n1": None, "out_dir": ".", "svg": False,
-}
-
-
-def cmd_music(args) -> int:
-    opts = _merged(args, MUSIC_DEFAULTS)
+def cmd_music(opts) -> int:
     if opts["r"] is None:
         raise CliError("--r (model order) is required")
     r = _positive_int(opts, "r")
     X = io.read_complex_matrix_csv(opts["x"])
-    s, n = X.shape
+    s = X.shape[0]
     estimator = str(opts["estimator"])
-    try:
-        if estimator == "vhm":
-            rows = s if opts["rows"] is None else _positive_int(opts, "rows")
-            if rows > s:
-                raise ValueError("--rows exceeds the %d data rows" % s)
-            ns = noise_subspace_vhm(X[:rows], r, _shape(n, rows, opts["n1"]))
-        elif estimator == "single":
-            row = int(opts["row"])
-            if not 0 <= row < s:
-                raise ValueError("--row out of range for %d data rows" % s)
-            ns = noise_subspace_single(X[row], r, _shape(n, 1, opts["n1"]))
-        elif estimator == "mmv":
-            ns = noise_subspace_mmv(X, r)
-        else:
-            raise ValueError("unknown estimator %r" % estimator)
-        grid = default_grid(float(opts["grid_step"]))
-        curve = pseudospectrum(ns, grid)
-        peaks = pick_peaks(curve, r)
-        sources = recover_amplitudes(X, peaks.taus)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    X_est = X
+    if estimator == "vhm" and opts["rows"] is not None:
+        rows = _positive_int(opts, "rows")
+        if rows > s:
+            raise CliError("--rows exceeds the %d data rows" % s)
+        X_est = X[:rows]
+    elif estimator == "single":
+        row = int(opts["row"])
+        if not 0 <= row < s:
+            raise CliError("--row out of range for %d data rows" % s)
+        X_est = X[row:row + 1]
+    ns = noise_subspace(X_est, r, estimator, _maybe_int(opts, "n1"))
+    curve = pseudospectrum(ns, default_grid(float(opts["grid_step"])))
+    peaks = pick_peaks(curve, r)
+    sources = recover_amplitudes(X, peaks.taus)
     save_pseudospectrum_csv(_out(opts, "pseudospectrum.csv"), curve)
-    doc = sources_to_dict(sources)
-    doc["estimator"] = estimator
-    doc["padded_peaks"] = peaks.padded
-    with open(_out(opts, "sources.json"), "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    io.write_json(_out(opts, "sources.json"),
+                  {**sources_to_dict(sources), "estimator": estimator,
+                   "padded_peaks": peaks.padded})
     if opts["svg"]:
         svg = curve_svg(curve.grid, curve.values, peaks=peaks.taus,
                         title="pseudospectrum (%s, r=%d)" % (estimator, r))
@@ -256,46 +343,10 @@ def cmd_music(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------- grids
-
-PHASE_DEFAULTS = {
-    "axis1": "r", "values1": "1,2,4,8", "axis2": "s", "values2": "1,2,4,8",
-    "fixed": "n=64", "trials": 20, "threshold": 1e-3, "seed": 0,
-    "distribution": "gaussian", "delta": None, "orient_law": "gaussian",
-    "rho": 1.0, "tol": 1e-7, "max_iters": 5000, "rank_cap": None,
-    "threads": 1, "out_dir": ".",
-}
-
-
-def _parse_fixed(text) -> dict:
-    parts = str(text).split("=")
-    if len(parts) != 2:
-        raise CliError("--fixed must look like name=value, got %r" % (text,))
-    try:
-        return {parts[0].strip(): int(parts[1])}
-    except ValueError:
-        raise CliError("--fixed value must be an integer") from None
-
-
-def cmd_phase_transition(args) -> int:
-    opts = _merged(args, PHASE_DEFAULTS)
-    try:
-        config = PhaseTransitionConfig(
-            axis1_name=str(opts["axis1"]),
-            axis1_values=_int_list(opts["values1"]),
-            axis2_name=str(opts["axis2"]),
-            axis2_values=_int_list(opts["values2"]),
-            fixed=_parse_fixed(opts["fixed"]),
-            trials=_positive_int(opts, "trials"),
-            threshold=float(opts["threshold"]),
-            base_seed=int(opts["seed"]),
-            distribution=str(opts["distribution"]),
-            delta=None if opts["delta"] is None else float(opts["delta"]),
-            orient_law=str(opts["orient_law"]),
-            solver=_solver_config(opts),
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+def cmd_phase_transition(opts) -> int:
+    config = PhaseTransitionConfig(**_fields(opts, GRID),
+                                   solver=SolverConfig(**_fields(opts,
+                                                                 SOLVER)))
     grid = run_phase_transition(config, workers=_positive_int(opts, "threads"),
                                 progress=_stderr_progress)
     grid_to_csv(grid, _out(opts, "grid.csv"))
@@ -306,32 +357,8 @@ def cmd_phase_transition(args) -> int:
     return EXIT_OK
 
 
-SWEEP_DEFAULTS = {
-    "n": 64, "s": 6, "r": 4, "snr": "0,5,10,15,20,25,30",
-    "estimators": "vhm:1,vhm:2,vhm:4,vhm:6", "trials": 100,
-    "delta": 1.0 / 64, "orient_law": "gaussian", "metric": "plain",
-    "grid_step": 1e-4, "seed": 0, "threads": 1, "out_dir": ".",
-}
-
-
-def cmd_snr_sweep(args) -> int:
-    opts = _merged(args, SWEEP_DEFAULTS)
-    try:
-        config = SweepConfig(
-            n=_positive_int(opts, "n"),
-            s=_positive_int(opts, "s"),
-            r=_positive_int(opts, "r"),
-            snr_db=_float_list(opts["snr"]),
-            estimators=tuple(str(opts["estimators"]).split(",")),
-            trials=_positive_int(opts, "trials"),
-            delta=None if opts["delta"] is None else float(opts["delta"]),
-            orient_law=str(opts["orient_law"]),
-            metric=str(opts["metric"]),
-            grid_step=float(opts["grid_step"]),
-            base_seed=int(opts["seed"]),
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+def cmd_snr_sweep(opts) -> int:
+    config = SweepConfig(**_fields(opts, SWEEP))
     result = run_snr_sweep(config, workers=_positive_int(opts, "threads"),
                            progress=_stderr_progress)
     sweep_to_csv(result, _out(opts, "sweep.csv"))
@@ -348,6 +375,17 @@ def _stderr_progress(line: str) -> None:
 
 # ---------------------------------------------------------------- parser
 
+COMMANDS = (
+    ("synth", cmd_synth, "sample a model and write model/data files", SYNTH),
+    ("solve", cmd_solve, "recover the data matrix from measurements", SOLVE),
+    ("music", cmd_music, "estimate frequencies from a data matrix", MUSIC),
+    ("phase-transition", cmd_phase_transition,
+     "success-count grid over two of n, r, s", PHASE),
+    ("snr-sweep", cmd_snr_sweep,
+     "estimator error vs SNR on noisy data matrices", SWEEP),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vhlift",
@@ -355,92 +393,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "nuclear-norm program, with MUSIC-style frequency "
                     "retrieval and Monte Carlo experiment harnesses.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, helptext):
+    for name, func, helptext, table in COMMANDS:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="JSON file with option defaults")
-        p.add_argument("--out-dir", dest="out_dir",
-                       help="directory for output files (default .)")
-        p.set_defaults(func=func)
-        return p
-
-    p = add("synth", cmd_synth, "sample a model and write model/data files")
-    p.add_argument("--n", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--distribution",
-                   choices=["gaussian", "rademacher", "dftrows"])
-    p.add_argument("--snr", type=float, help="add noise to X.csv at this SNR")
-    p.add_argument("--delta", type=float, help="minimum wraparound separation")
-    p.add_argument("--orient-law", dest="orient_law",
-                   choices=["gaussian", "bernoulli"])
-
-    p = add("solve", cmd_solve, "recover the data matrix from measurements")
-    p.add_argument("--model", help="problem JSON from synth")
-    p.add_argument("--y", help="measurement CSV")
-    p.add_argument("--rho", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--rank-cap", dest="rank_cap", type=int)
-    p.add_argument("--n1", type=int, help="override the lift split")
-
-    p = add("music", cmd_music, "estimate frequencies from a data matrix")
-    p.add_argument("--x", help="data matrix CSV")
-    p.add_argument("--r", type=int, help="model order (required)")
-    p.add_argument("--estimator", choices=["vhm", "single", "mmv"])
-    p.add_argument("--row", type=int, help="row used by --estimator single")
-    p.add_argument("--rows", type=int, help="leading rows used by vhm")
-    p.add_argument("--grid-step", dest="grid_step", type=float)
-    p.add_argument("--n1", type=int)
-    p.add_argument("--svg", action="store_const", const=True,
-                   help="also write pseudospectrum.svg")
-
-    p = add("phase-transition", cmd_phase_transition,
-            "success-count grid over two of n, r, s")
-    p.add_argument("--axis1")
-    p.add_argument("--values1")
-    p.add_argument("--axis2")
-    p.add_argument("--values2")
-    p.add_argument("--fixed", help="remaining parameter, e.g. n=64")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--distribution",
-                   choices=["gaussian", "rademacher", "dftrows"])
-    p.add_argument("--delta", type=float)
-    p.add_argument("--orient-law", dest="orient_law",
-                   choices=["gaussian", "bernoulli"])
-    p.add_argument("--rho", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--rank-cap", dest="rank_cap", type=int)
-    p.add_argument("--threads", type=int)
-
-    p = add("snr-sweep", cmd_snr_sweep,
-            "estimator error vs SNR on noisy data matrices")
-    p.add_argument("--n", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--snr", help="comma list of SNR dB values (inf allowed)")
-    p.add_argument("--estimators",
-                   help="comma list from vhm, vhm:K, single, mmv")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--orient-law", dest="orient_law",
-                   choices=["gaussian", "bernoulli"])
-    p.add_argument("--metric", choices=["plain", "wraparound"])
-    p.add_argument("--grid-step", dest="grid_step", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
-
+        for o in table:
+            p.add_argument("--" + o.key.replace("_", "-"), dest=o.key,
+                           **o.spec)
+        p.set_defaults(func=func, table=table)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_merged(args, args.table))
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code

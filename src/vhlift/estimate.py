@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import json
-
 import numpy as np
 
+from . import io
 from .lift import LiftShape, vec_hankel
 from .model import steering_matrix
 
@@ -30,12 +29,13 @@ __all__ = [
     "noise_subspace_vhm",
     "noise_subspace_single",
     "noise_subspace_mmv",
+    "parse_estimator",
+    "noise_subspace",
     "default_grid",
     "pseudospectrum",
     "pick_peaks",
     "recover_amplitudes",
     "sources_to_dict",
-    "save_sources",
     "save_pseudospectrum_csv",
 ]
 
@@ -131,6 +131,46 @@ def noise_subspace_mmv(X: np.ndarray, r: int) -> NoiseSubspace:
                          "are undefined")
     U = _left_singular(X.T)
     return NoiseSubspace(u_perp=U[:, r:], r=r)
+
+
+def parse_estimator(name: str, s: int, r: int) -> tuple[str, int]:
+    """Validate an estimator tag against the instance dimensions.
+
+    Tags: "vhm" (all rows), "vhm:K" (first K rows), "single" (first row),
+    "mmv" (needs r <= s).  Returns (kind, rows).
+    """
+    if name == "mmv":
+        if r > s:
+            raise ValueError("mmv needs r <= s")
+        return "mmv", s
+    if name == "single":
+        return "single", 1
+    if name == "vhm":
+        return "vhm", s
+    if name.startswith("vhm:"):
+        try:
+            rows = int(name.split(":", 1)[1])
+        except ValueError:
+            raise ValueError("bad estimator tag %r" % name) from None
+        if not 1 <= rows <= s:
+            raise ValueError("estimator %r wants %d rows but s=%d"
+                             % (name, rows, s))
+        return "vhm", rows
+    raise ValueError("unknown estimator %r" % name)
+
+
+def noise_subspace(X: np.ndarray, r: int, estimator: str,
+                   n1: int | None = None) -> NoiseSubspace:
+    """Noise subspace of an s x n data matrix by estimator tag (see
+    parse_estimator); n1 overrides the default lift split."""
+    X = np.atleast_2d(np.asarray(X))
+    s, n = X.shape
+    kind, rows = parse_estimator(estimator, s, r)
+    if kind == "mmv":
+        return noise_subspace_mmv(X, r)
+    if kind == "single":
+        return noise_subspace_single(X[0], r, LiftShape.default(n, 1, n1))
+    return noise_subspace_vhm(X[:rows], r, LiftShape.default(n, rows, n1))
 
 
 def default_grid(step: float = 1e-4) -> np.ndarray:
@@ -229,22 +269,15 @@ def recover_amplitudes(X: np.ndarray, taus_hat, n: int | None = None
 # ----------------------------------------------------------- serialization
 
 def sources_to_dict(src: RecoveredSources) -> dict:
-    flat = src.orients_hat.ravel(order="F")
     return {
         "taus_hat": [float(t) for t in src.taus_hat],
         "amps_hat": [float(a) for a in src.amps_hat],
-        "orients_hat": [[float(z.real), float(z.imag)] for z in flat],
+        "orients_hat": io.complex_to_pairs(src.orients_hat),
         "s": int(src.orients_hat.shape[0]),
         "r": int(src.orients_hat.shape[1]),
         "residual": src.residual,
         "ill_conditioned": src.ill_conditioned,
     }
-
-
-def save_sources(path, src: RecoveredSources) -> None:
-    with open(path, "w") as fh:
-        json.dump(sources_to_dict(src), fh, indent=1)
-        fh.write("\n")
 
 
 def save_pseudospectrum_csv(path, curve: PseudospectrumCurve) -> None:

@@ -1,13 +1,21 @@
-"""CSV readers and writers for complex matrices and vectors.
+"""File formats shared by the library and the CLI: complex CSV files, the
+[re, im] JSON codec for complex matrices, and the JSON file writer.
 
-Convention: a complex column named <name> occupies two adjacent CSV columns
-re_<name>, im_<name>.  Matrices are written one data-matrix row per CSV
-row, with data-matrix columns named c0, c1, ...; vectors are written one
+CSV convention: a complex column named <name> occupies two adjacent CSV
+columns re_<name>, im_<name>.  Matrices are written one data-matrix row per
+CSV row, with data-matrix columns named c0, c1, ...; vectors are written one
 entry per CSV row.  Floats are rendered with repr, which round-trips
-exactly, so rewriting a parsed file is byte-identical.
+exactly, so rewriting a parsed file is byte-identical.  Fields must be
+finite.
+
+JSON convention: a complex matrix is a list of [re, im] pairs in
+column-major order.
 """
 
 from __future__ import annotations
+
+import json
+import math
 
 import numpy as np
 
@@ -16,6 +24,9 @@ __all__ = [
     "read_complex_matrix_csv",
     "write_complex_vector_csv",
     "read_complex_vector_csv",
+    "complex_to_pairs",
+    "pairs_to_complex",
+    "write_json",
 ]
 
 
@@ -62,6 +73,8 @@ def read_complex_matrix_csv(path) -> np.ndarray:
             vals = [float(c) for c in cells]
         except ValueError:
             raise ValueError("non-numeric field in %s" % (path,)) from None
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError("non-finite field in %s" % (path,))
         rows.append([complex(vals[2 * j], vals[2 * j + 1])
                      for j in range(ncols)])
     if not rows:
@@ -83,3 +96,24 @@ def read_complex_vector_csv(path) -> np.ndarray:
     if M.shape[1] != 1:
         raise ValueError("expected a single complex column in %s" % (path,))
     return M[:, 0]
+
+
+def complex_to_pairs(M) -> list:
+    """Column-major [re, im] pairs of a complex array."""
+    flat = np.asarray(M, dtype=np.complex128).ravel(order="F")
+    return [[float(z.real), float(z.imag)] for z in flat]
+
+
+def pairs_to_complex(pairs, rows: int, cols: int) -> np.ndarray:
+    """Inverse of complex_to_pairs for a rows x cols matrix."""
+    arr = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+    if arr.size != rows * cols:
+        raise ValueError("serialized matrix has wrong length")
+    return arr.reshape((rows, cols), order="F")
+
+
+def write_json(path, doc: dict) -> None:
+    """Write doc as JSON with one-space indentation and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")

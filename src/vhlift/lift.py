@@ -2,11 +2,10 @@
 
 The central map sends an s-by-n data matrix X to the (s*n1)-by-n2 matrix
 whose (j, k) block (an s-vector) is column j+k of X, with n1 + n2 = n + 1.
-Around it the module provides the adjoint, the diagonal weight operator D
-induced by the composition adjoint-after-lift, the isometric rescaling G,
-the orthonormal basis of weighted Hankel matrices, the per-row stacked
-variant (a row permutation of the block lift), and a two-level lift for
-data indexed by two frequency axes.
+Around it the module provides the adjoint, the anti-diagonal weights w
+(adjoint-after-lift scales column i by w_i), the isometric rescaling G,
+the orthonormal basis of weighted Hankel matrices, and the per-row stacked
+variant (a row permutation of the block lift).
 """
 
 from __future__ import annotations
@@ -20,14 +19,10 @@ __all__ = [
     "hankel_weights",
     "vec_hankel",
     "vec_hankel_adjoint",
-    "lifted_block",
-    "apply_weights",
     "iso_lift",
     "iso_lift_adjoint",
     "hankel_basis_matrix",
     "stacked_hankel",
-    "stack_permutation",
-    "two_level_lift",
 ]
 
 
@@ -102,38 +97,14 @@ def vec_hankel_adjoint(Z: np.ndarray, shape: LiftShape) -> np.ndarray:
     return out
 
 
-def lifted_block(Z: np.ndarray, shape: LiftShape, j: int, k: int) -> np.ndarray:
-    """Return block (j, k) of a lifted matrix as an s-vector."""
-    Z = _check_lifted(Z, shape)
-    if not (0 <= j < shape.n1 and 0 <= k < shape.n2):
-        raise IndexError("block index out of range")
-    return Z[j * shape.s:(j + 1) * shape.s, k]
-
-
-def apply_weights(X: np.ndarray, w: np.ndarray, power: int) -> np.ndarray:
-    """Scale column i of X by w_i^(power/2); power in {2, 1, -1, -2}.
-
-    With w = hankel_weights(shape), power=2 equals the composition
-    adjoint-after-lift and power=-1 is the inverse square-root weighting
-    used by the isometric lift.
-    """
-    if power not in (2, 1, -1, -2):
-        raise ValueError("power must be one of 2, 1, -1, -2")
-    X = np.asarray(X)
-    w = np.asarray(w, dtype=np.float64)
-    if X.ndim != 2 or w.ndim != 1 or X.shape[1] != w.shape[0]:
-        raise ValueError("weight length must match column count")
-    return X * w ** (power / 2.0)
-
-
 def iso_lift(X: np.ndarray, shape: LiftShape) -> np.ndarray:
     """Isometric lift: vec_hankel after inverse square-root weighting."""
-    return vec_hankel(apply_weights(X, hankel_weights(shape), -1), shape)
+    return vec_hankel(X * hankel_weights(shape) ** -0.5, shape)
 
 
 def iso_lift_adjoint(Z: np.ndarray, shape: LiftShape) -> np.ndarray:
     """Adjoint of iso_lift; iso_lift_adjoint(iso_lift(X)) == X."""
-    return apply_weights(vec_hankel_adjoint(Z, shape), hankel_weights(shape), -1)
+    return vec_hankel_adjoint(Z, shape) * hankel_weights(shape) ** -0.5
 
 
 def hankel_basis_matrix(i: int, shape: LiftShape) -> np.ndarray:
@@ -153,32 +124,3 @@ def stacked_hankel(X: np.ndarray, shape: LiftShape) -> np.ndarray:
     X = _check_data(X, shape)
     idx = np.arange(shape.n1)[:, None] + np.arange(shape.n2)[None, :]
     return X[:, idx].reshape(shape.s * shape.n1, shape.n2)
-
-
-def stack_permutation(shape: LiftShape) -> np.ndarray:
-    """Row indices p with stacked_hankel(X) == vec_hankel(X)[p].
-
-    Row l*n1 + j of the stacked layout is row j*s + l of the block layout.
-    """
-    l = np.arange(shape.s)[:, None]
-    j = np.arange(shape.n1)[None, :]
-    return (j * shape.s + l).reshape(-1)
-
-
-def two_level_lift(X: np.ndarray, shape: LiftShape) -> np.ndarray:
-    """Two-level lift for data indexed by two frequency axes.
-
-    X is s x n^2, viewed as n chunks of n columns (chunk l = columns
-    l*n..(l+1)*n-1, slow axis first).  The output is an n1 x n2 block-Hankel
-    arrangement, along the slow axis, of the single-level lifts of the
-    chunks: outer block (j, k) is vec_hankel(chunk_{j+k}).  Output size
-    (s*n1*n1) x (n2*n2).
-    """
-    X = np.asarray(X)
-    n, s, n1, n2 = shape.n, shape.s, shape.n1, shape.n2
-    if X.shape != (s, n * n):
-        raise ValueError("two-level data must be %d x %d, got %r"
-                         % (s, n * n, X.shape))
-    inner = [vec_hankel(X[:, l * n:(l + 1) * n], shape) for l in range(n)]
-    rows = [np.hstack([inner[j + k] for k in range(n2)]) for j in range(n1)]
-    return np.vstack(rows)

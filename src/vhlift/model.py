@@ -18,6 +18,7 @@ import json
 
 import numpy as np
 
+from . import io
 from .lift import LiftShape
 
 __all__ = [
@@ -156,7 +157,10 @@ def sample_model(r: int, s: int, seed=None, delta: float | None = None,
     """Draw a random r-source model with s-dimensional orientations.
 
     Frequencies are uniform on [0, 1), redrawn until the wraparound gap is
-    at least max(delta, 1e-9); amplitudes follow (1 + 10^c) e^{-i psi} with
+    at least max(delta, 1e-9); after 1000 rejected draws they are placed
+    instead at a uniform offset with circular gaps delta + (1 - r delta)
+    times a flat Dirichlet vector, which meets any feasible separation;
+    amplitudes follow (1 + 10^c) e^{-i psi} with
     c uniform on [0, 1] and psi uniform on [0, 2 pi), so |d_k| in [2, 11];
     orientations are normalized standard Gaussian (orient_law="gaussian")
     or normalized symmetric +-1 (orient_law="bernoulli") vectors.
@@ -175,7 +179,9 @@ def sample_model(r: int, s: int, seed=None, delta: float | None = None,
         if wraparound_gap(taus) >= min_gap:
             break
     else:
-        raise RuntimeError("frequency rejection sampling did not terminate")
+        gaps = min_gap + (1.0 - r * min_gap) * rng.dirichlet(np.ones(r))
+        starts = np.concatenate(([0.0], np.cumsum(gaps[:-1])))
+        taus = (rng.random() + starts) % 1.0
     psi = TWO_PI * rng.random(r)
     c = rng.random(r)
     amps = (1.0 + 10.0 ** c) * np.exp(-1j * psi)
@@ -313,28 +319,15 @@ def incoherence_diagnostic(model: PointSourceModel,
 
 # ----------------------------------------------------------- serialization
 
-def _complex_to_pairs(M: np.ndarray) -> list:
-    """Column-major [re, im] pairs."""
-    flat = np.asarray(M, dtype=np.complex128).ravel(order="F")
-    return [[float(z.real), float(z.imag)] for z in flat]
-
-
-def _pairs_to_complex(pairs, rows: int, cols: int) -> np.ndarray:
-    arr = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    if arr.size != rows * cols:
-        raise ValueError("serialized matrix has wrong length")
-    return arr.reshape((rows, cols), order="F")
-
-
 def problem_to_dict(model: PointSourceModel, subspace: SubspaceMatrix) -> dict:
     return {
         "n": subspace.n,
         "s": subspace.s,
         "r": model.r,
         "taus": [float(t) for t in model.taus],
-        "amps": _complex_to_pairs(model.amps),
-        "orients": _complex_to_pairs(model.orients),
-        "B": _complex_to_pairs(subspace.entries),
+        "amps": io.complex_to_pairs(model.amps),
+        "orients": io.complex_to_pairs(model.orients),
+        "B": io.complex_to_pairs(subspace.entries),
         "distribution": subspace.distribution,
         "seed": subspace.seed,
     }
@@ -344,11 +337,11 @@ def problem_from_dict(doc: dict) -> tuple[PointSourceModel, SubspaceMatrix]:
     n, s, r = int(doc["n"]), int(doc["s"]), int(doc["r"])
     model = PointSourceModel(
         taus=np.asarray(doc["taus"], dtype=np.float64),
-        amps=_pairs_to_complex(doc["amps"], r, 1).ravel(),
-        orients=_pairs_to_complex(doc["orients"], s, r),
+        amps=io.pairs_to_complex(doc["amps"], r, 1).ravel(),
+        orients=io.pairs_to_complex(doc["orients"], s, r),
     )
     subspace = SubspaceMatrix(
-        entries=_pairs_to_complex(doc["B"], n, s),
+        entries=io.pairs_to_complex(doc["B"], n, s),
         distribution=str(doc["distribution"]),
         seed=None if doc.get("seed") is None else int(doc["seed"]),
     )
@@ -356,9 +349,7 @@ def problem_from_dict(doc: dict) -> tuple[PointSourceModel, SubspaceMatrix]:
 
 
 def save_problem(path, model: PointSourceModel, subspace: SubspaceMatrix) -> None:
-    with open(path, "w") as fh:
-        json.dump(problem_to_dict(model, subspace), fh, indent=1)
-        fh.write("\n")
+    io.write_json(path, problem_to_dict(model, subspace))
 
 
 def load_problem(path) -> tuple[PointSourceModel, SubspaceMatrix]:

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import json
-
 import numpy as np
 
+from . import io
 from .lift import LiftShape, hankel_weights, vec_hankel, vec_hankel_adjoint
 from .model import SubspaceMatrix
 
@@ -163,7 +162,6 @@ def solve_vhl(y: np.ndarray, B, shape: LiftShape,
 
 def report_to_dict(report: SolveReport) -> dict:
     s, n = report.X_hat.shape
-    flat = report.X_hat.ravel(order="F")
     return {
         "s": int(s),
         "n": int(n),
@@ -172,11 +170,9 @@ def report_to_dict(report: SolveReport) -> dict:
         "dual_residual": report.dual_residual,
         "nuclear_norm": report.nuclear_norm,
         "converged": report.converged,
-        "X_hat": [[float(z.real), float(z.imag)] for z in flat],
+        "X_hat": io.complex_to_pairs(report.X_hat),
     }
 
 
 def save_report(path, report: SolveReport) -> None:
-    with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=1)
-        fh.write("\n")
+    io.write_json(path, report_to_dict(report))

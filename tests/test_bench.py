@@ -4,6 +4,7 @@ full-scale experiment checks live in the acceptance suite)."""
 import numpy as np
 import pytest
 
+from vhlift import bench
 from vhlift.bench import (
     PhaseTransitionConfig,
     SweepConfig,
@@ -123,6 +124,17 @@ def test_phase_transition_failures_counted_not_raised():
     grid = run_phase_transition(cfg)
     assert np.all(np.isfinite(grid.errors))  # solver returned, not crashed
     assert np.all(grid.counts_at(1e-9) == 0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_phase_transition_bugs_propagate(monkeypatch, workers):
+    # only numerical failures count as failed trials; a bug must surface
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(bench, "solve_vhl", broken)
+    with pytest.raises(TypeError, match="bug"):
+        run_phase_transition(small_phase_config(), workers=workers)
 
 
 def test_phase_transition_progress_lines():

@@ -14,6 +14,7 @@ from vhlift.model import (
     sample_model,
     sample_subspace,
     synthesize_data_matrix,
+    wraparound_gap,
 )
 
 
@@ -68,6 +69,10 @@ def test_csv_error_paths(tmp_path):
     path.write_text("re_a,im_a\n")
     with pytest.raises(ValueError):
         io.read_complex_matrix_csv(path)
+    for row in ("nan,0", "1,inf", "-inf,2"):
+        path.write_text("re_a,im_a\n%s\n" % row)
+        with pytest.raises(ValueError, match="non-finite field in .*bad.csv"):
+            io.read_complex_matrix_csv(path)
     path.write_text("re_a,im_a,re_b,im_b\n1,2,3,4\n")
     with pytest.raises(ValueError):
         io.read_complex_vector_csv(path)
@@ -135,6 +140,16 @@ def test_synth_validation_exit_codes(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_synth_feasible_separation_never_fails(tmp_path):
+    # r * delta <= 1 is feasible even where rejection sampling gives up
+    for r, delta in ((40, 0.0249), (4, 0.25)):
+        assert run_cli("synth", "--r", r, "--delta", delta,
+                       "--out-dir", tmp_path) == 0
+        model, _ = load_problem(tmp_path / "model.json")
+        assert model.r == r
+        assert wraparound_gap(model.taus) >= delta - 1e-12
+
+
 # ------------------------------------------------------------------- solve
 
 def test_solve_recovers_synth_output(tmp_path):
@@ -160,7 +175,7 @@ def test_solve_zero_measurements(tmp_path):
     assert np.all(X_hat == 0.0)
 
 
-def test_solve_error_exit_codes(tmp_path):
+def test_solve_error_exit_codes(tmp_path, capsys):
     model_path, x_path, y_path = synth_files(tmp_path)
     missing = run_cli("solve", "--model", model_path,
                       "--y", tmp_path / "nope.csv", "--out-dir", tmp_path)
@@ -175,6 +190,13 @@ def test_solve_error_exit_codes(tmp_path):
     io.write_complex_vector_csv(trunc, np.zeros(10, dtype=np.complex128))
     assert run_cli("solve", "--model", model_path, "--y", trunc,
                    "--out-dir", tmp_path) == 2
+    # a non-finite measurement is rejected when the file is read
+    lines[3] = "nan,0.0"
+    trunc.write_text("\n".join(lines) + "\n")
+    assert run_cli("solve", "--model", model_path, "--y", trunc,
+                   "--out-dir", tmp_path) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: non-finite field in %s\n" % trunc)
 
 
 def test_solve_nonconvergence_exit_3(tmp_path):
@@ -250,6 +272,7 @@ def test_phase_transition_outputs(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "trial" in err and len(err.splitlines()) == 8
     assert run_cli(*args, "--out-dir", d2, "--threads", 2) == 0
+    assert capsys.readouterr().err == err  # progress in task order
     csv1 = (d1 / "grid.csv").read_bytes()
     assert csv1 == (d2 / "grid.csv").read_bytes()
     lines = csv1.decode().splitlines()
@@ -316,3 +339,25 @@ def test_config_file_errors(tmp_path):
     assert run_cli("synth", "--config", cfg, "--out-dir", tmp_path) == 2
     assert run_cli("synth", "--config", tmp_path / "nope.json",
                    "--out-dir", tmp_path) == 4
+
+
+CONFIG_KEYS = {
+    "synth": "n s r seed distribution snr delta orient_law out_dir",
+    "solve": "model y out_dir rho tol max_iters rank_cap n1",
+    "music": "x r estimator row rows grid_step n1 out_dir svg",
+    "phase-transition": "axis1 values1 axis2 values2 fixed trials threshold "
+                        "seed distribution delta orient_law rho tol "
+                        "max_iters rank_cap threads out_dir",
+    "snr-sweep": "n s r snr estimators trials delta orient_law metric "
+                 "grid_step seed threads out_dir",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
+def test_config_key_set(tmp_path, capsys, command):
+    # every documented key is accepted; only the extra one is reported
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict.fromkeys(CONFIG_KEYS[command].split()
+                                            + ["zzz"])))
+    assert run_cli(command, "--config", cfg) == 2
+    assert capsys.readouterr().err == "error: unknown config keys: zzz\n"

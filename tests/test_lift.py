@@ -10,15 +10,11 @@ import pytest
 
 from vhlift.lift import (
     LiftShape,
-    apply_weights,
     hankel_basis_matrix,
     hankel_weights,
     iso_lift,
     iso_lift_adjoint,
-    lifted_block,
-    stack_permutation,
     stacked_hankel,
-    two_level_lift,
     vec_hankel,
     vec_hankel_adjoint,
 )
@@ -119,7 +115,9 @@ def test_lift_frozen_examples():
     Z = vec_hankel(X, sh)
     for j in range(2):
         for k in range(2):
-            np.testing.assert_array_equal(lifted_block(Z, sh, j, k), X[:, j + k])
+            # block (j, k) is rows j*s..(j+1)*s-1 of column k
+            np.testing.assert_array_equal(Z[j * sh.s:(j + 1) * sh.s, k],
+                                          X[:, j + k])
 
     sh = LiftShape(4, 3, 2, 3)
     np.testing.assert_array_equal(vec_hankel(np.zeros((3, 4)), sh), np.zeros((6, 3)))
@@ -139,15 +137,6 @@ def test_lift_shape_mismatch():
         vec_hankel(np.zeros((2, 5)), sh)
     with pytest.raises(ValueError):
         vec_hankel(np.zeros((3, 4)), sh)
-
-
-def test_lifted_block_range():
-    sh = LiftShape(4, 2, 2, 3)
-    Z = vec_hankel(np.zeros((2, 4)), sh)
-    with pytest.raises(IndexError):
-        lifted_block(Z, sh, 2, 0)
-    with pytest.raises(IndexError):
-        lifted_block(Z, sh, 0, 3)
 
 
 # ---------------------------------------------------------------- adjoint
@@ -183,27 +172,13 @@ def test_adjointness_inner_products():
 
 # ---------------------------------------------------------------- weights op
 
-def test_apply_weights_examples():
-    w = np.array([1.0, 2.0, 1.0])
-    X = np.eye(3)
-    scaled = apply_weights(X, w, 1)
-    np.testing.assert_allclose(np.linalg.norm(scaled, axis=0),
-                               [1.0, np.sqrt(2.0), 1.0], rtol=1e-15)
-    back = apply_weights(apply_weights(X, w, -1), w, 1)
-    np.testing.assert_allclose(back, X, rtol=0, atol=1e-14)
-    with pytest.raises(ValueError):
-        apply_weights(X, w, 3)
-    with pytest.raises(ValueError):
-        apply_weights(X, np.ones(4), 1)
-
-
 def test_adjoint_of_lift_is_weighting():
     rng = np.random.default_rng(4)
     for _ in range(100):
         sh = random_shape(rng)
         X = crandn(rng, sh.s, sh.n)
         lhs = vec_hankel_adjoint(vec_hankel(X, sh), sh)
-        rhs = apply_weights(X, hankel_weights(sh), 2)
+        rhs = X * hankel_weights(sh)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
@@ -270,7 +245,9 @@ def test_stacked_hankel_is_row_permutation():
         sh = random_shape(rng, n_max=32, s_max=6)
         X = crandn(rng, sh.s, sh.n)
         stacked = stacked_hankel(X, sh)
-        perm = stack_permutation(sh)
+        # row l*n1 + j of the stacked layout is row j*s + l of the block one
+        perm = (np.arange(sh.n1)[None, :] * sh.s
+                + np.arange(sh.s)[:, None]).reshape(-1)
         assert sorted(perm.tolist()) == list(range(sh.s * sh.n1))
         np.testing.assert_array_equal(stacked, vec_hankel(X, sh)[perm])
         # row l's chunk is the scalar Hankel matrix of row l
@@ -289,50 +266,3 @@ def test_stacked_singular_values_match():
         sv_stack = np.linalg.svd(stacked_hankel(X, sh), compute_uv=False)
         np.testing.assert_allclose(sv_block, sv_stack, rtol=0,
                                    atol=1e-10 * max(1.0, sv_block[0]))
-
-
-# ---------------------------------------------------------------- two-level
-
-def synth_2d(taus_a, taus_b, amps, orients, n):
-    """x[:, l*n + m] = sum_k d_k exp(-2i pi (ta_k l + tb_k m)) h_k"""
-    s, r = orients.shape
-    X = np.zeros((s, n * n), dtype=complex)
-    for l in range(n):
-        for m in range(n):
-            ph = np.exp(-2j * np.pi * (np.asarray(taus_a) * l + np.asarray(taus_b) * m))
-            X[:, l * n + m] = orients @ (amps * ph)
-    return X
-
-
-def test_two_level_n1_reduces_to_plain_lift():
-    rng = np.random.default_rng(9)
-    sh = LiftShape(1, 3, 1, 1)
-    X = crandn(rng, 3, 1)
-    np.testing.assert_array_equal(two_level_lift(X, sh), vec_hankel(X, sh))
-
-
-def test_two_level_rank_one_and_two():
-    rng = np.random.default_rng(10)
-    n, s = 8, 2
-    sh = LiftShape.default(n, s)
-
-    X1 = synth_2d([0.3], [0.71], np.array([2.0 - 1j]),
-                  np.array([[0.6], [0.8]], dtype=complex), n)
-    Z1 = two_level_lift(X1, sh)
-    assert Z1.shape == (s * sh.n1 * sh.n1, sh.n2 * sh.n2)
-    sv = np.linalg.svd(Z1, compute_uv=False)
-    assert sv[1] / sv[0] < 1e-8
-
-    H = rng.standard_normal((s, 2))
-    H /= np.linalg.norm(H, axis=0)
-    X2 = synth_2d([0.15, 0.62], [0.4, 0.9],
-                  np.array([1.5, 3.0 + 2.0j]), H.astype(complex), n)
-    sv = np.linalg.svd(two_level_lift(X2, sh), compute_uv=False)
-    assert sv[2] / sv[0] < 1e-8
-    assert sv[1] / sv[0] > 1e-4
-
-
-def test_two_level_column_count_check():
-    sh = LiftShape.default(4, 2)
-    with pytest.raises(ValueError):
-        two_level_lift(np.zeros((2, 12)), sh)
