@@ -47,9 +47,6 @@ from .estimate import (
     RecoveredSources,
     default_grid,
     noise_subspace,
-    noise_subspace_mmv,
-    noise_subspace_single,
-    noise_subspace_vhm,
     pick_peaks,
     pseudospectrum,
     recover_amplitudes,

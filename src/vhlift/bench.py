@@ -169,8 +169,10 @@ def _phase_trial(config: PhaseTransitionConfig, cell: int, params: dict,
 def _run_tasks(tasks, runner, workers, progress):
     """Execute (slot, label) tasks; results are keyed by slot and consumed
     in task order, so neither the output arrays nor the progress lines
-    depend on scheduling."""
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    depend on scheduling.  Leaving early, on an exception, drops the tasks
+    not yet started."""
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
         futures = [(slot, label, pool.submit(runner, slot))
                    for slot, label in tasks]
         for slot, label, fut in futures:
@@ -178,6 +180,8 @@ def _run_tasks(tasks, runner, workers, progress):
             yield slot, value
             if progress is not None:
                 progress("%s: %.3e" % (label, np.max(value)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_phase_transition(config: PhaseTransitionConfig, workers: int = 1,

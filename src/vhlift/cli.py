@@ -124,6 +124,8 @@ def _optional(parse):
 
 _maybe_int = _optional(_as(int))
 _maybe_float = _optional(_as(float))
+_maybe_count = _optional(_positive_int)
+NULLABLE = (_maybe_int, _maybe_float, _maybe_count)  # parses that read null
 
 
 def _out(opts, name: str) -> str:
@@ -139,8 +141,10 @@ class Opt:
     An option with a `field` fills that field of the subcommand's config
     dataclass through `parse(opts, key)` (by default the argparse type, or
     str); unless a flag or the config file sets it, the dataclass default
-    applies.  Any other option starts at `default`.  The remaining keywords
-    go to add_argument.
+    applies.  Any other option starts at `default`.  A JSON null in the
+    config file means "unset" for an option whose `parse` is in NULLABLE
+    and is rejected for any other.  The remaining keywords go to
+    add_argument.
     """
 
     def __init__(self, key, default=None, field=None, parse=None, **spec):
@@ -173,6 +177,9 @@ def _merged(args, table) -> dict:
         val = getattr(args, o.key)
         if val is not None:
             opts[o.key] = val
+        elif o.key in opts and opts[o.key] is None \
+                and o.parse not in NULLABLE:
+            raise CliError("config key %s must not be null" % o.key)
     return opts
 
 
@@ -188,8 +195,10 @@ SYNTH = (
     Opt("r", 4, type=int),
     Opt("seed", 0, type=int),
     Opt("distribution", "gaussian", choices=DISTRIBUTIONS),
-    Opt("snr", type=float, help="add noise to X.csv at this SNR"),
-    Opt("delta", type=float, help="minimum wraparound separation"),
+    Opt("snr", parse=_maybe_float, type=float,
+        help="add noise to X.csv at this SNR"),
+    Opt("delta", parse=_maybe_float, type=float,
+        help="minimum wraparound separation"),
     Opt("orient_law", "gaussian", choices=ORIENT_LAWS),
 )
 
@@ -197,8 +206,7 @@ SOLVER = (  # SolverConfig fields
     Opt("rho", field="rho", type=float),
     Opt("tol", field="tol_rel", type=float),
     Opt("max_iters", field="max_iters", parse=_positive_int, type=int),
-    Opt("rank_cap", field="svt_rank_cap", parse=_optional(_positive_int),
-        type=int),
+    Opt("rank_cap", field="svt_rank_cap", parse=_maybe_count, type=int),
 )
 
 SOLVE = (
@@ -206,18 +214,18 @@ SOLVE = (
     Opt("model", "model.json", help="problem JSON from synth"),
     Opt("y", "y.csv", help="measurement CSV"),
     *SOLVER,
-    Opt("n1", type=int, help="override the lift split"),
+    Opt("n1", parse=_maybe_int, type=int, help="override the lift split"),
 )
 
 MUSIC = (
     OUT_DIR,
     Opt("x", "X.csv", help="data matrix CSV"),
-    Opt("r", type=int, help="model order (required)"),
+    Opt("r", parse=_maybe_int, type=int, help="model order (required)"),
     Opt("estimator", "vhm", choices=("vhm", "single", "mmv")),
     Opt("row", 0, type=int, help="row used by --estimator single"),
-    Opt("rows", type=int, help="leading rows used by vhm"),
+    Opt("rows", parse=_maybe_int, type=int, help="leading rows used by vhm"),
     Opt("grid_step", 1e-4, type=float),
-    Opt("n1", type=int),
+    Opt("n1", parse=_maybe_int, type=int),
     Opt("svg", False, action="store_const", const=True,
         help="also write pseudospectrum.svg"),
 )
@@ -276,8 +284,8 @@ def cmd_synth(opts) -> int:
     subspace.seed = seed
     X = synthesize_data_matrix(model, n)
     y = apply_measurement(X, subspace)
-    X_out = X if opts["snr"] is None else add_noise(X, float(opts["snr"]),
-                                                    seed=rng)
+    snr = _maybe_float(opts, "snr")
+    X_out = X if snr is None else add_noise(X, snr, seed=rng)
     diag = incoherence_diagnostic(model, LiftShape.default(n, s))
     save_problem(_out(opts, "model.json"), model, subspace)
     io.write_complex_matrix_csv(_out(opts, "X.csv"), X_out)

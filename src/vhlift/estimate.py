@@ -1,10 +1,11 @@
 """Frequency retrieval and amplitude recovery.
 
-Three ways to build a MUSIC-style noise subspace from an s x n data matrix:
-from the transposed block-Hankel lift (pooling all rows through the lifted
-structure), from the scalar Hankel lift of a single row, and from the
-transposed data matrix itself (classical multiple-measurement-vector MUSIC,
-which needs at least as many rows as sources).  The pseudospectrum
+One MUSIC-style noise subspace: the left singular vectors of the transposed
+vectorized Hankel lift of the data rows, beyond the top r.  The estimators
+are lift shapes: "vhm" lifts all (or the first K) rows at the default
+split, "single" lifts one row, and "mmv" lifts all rows at n1 = 1, where the
+lift is the data matrix itself (classical multiple-measurement-vector
+MUSIC, which needs at least as many rows as sources).  The pseudospectrum
 1/||U_perp^* a_tau||^2 is evaluated on a uniform grid and frequencies are
 picked as the largest strict local maxima on the circular grid.  Amplitudes
 and orientations are then recovered by least squares against the steering
@@ -26,9 +27,6 @@ __all__ = [
     "PseudospectrumCurve",
     "PeakSelection",
     "RecoveredSources",
-    "noise_subspace_vhm",
-    "noise_subspace_single",
-    "noise_subspace_mmv",
     "parse_estimator",
     "noise_subspace",
     "default_grid",
@@ -47,7 +45,6 @@ class NoiseSubspace:
     """Orthonormal basis of the orthogonal complement of the signal space."""
 
     u_perp: np.ndarray  # (m, m - r), orthonormal columns
-    r: int              # assumed model order
 
     @property
     def m(self) -> int:
@@ -82,57 +79,6 @@ class RecoveredSources:
     ill_conditioned: bool
 
 
-def _left_singular(M: np.ndarray) -> np.ndarray:
-    # full U only when the matrix is wider than tall would truncate it
-    full = M.shape[0] > M.shape[1]
-    return np.linalg.svd(M, full_matrices=full)[0]
-
-
-def noise_subspace_vhm(X: np.ndarray, r: int, shape: LiftShape) -> NoiseSubspace:
-    """Noise subspace of the transposed block-Hankel lift of X.
-
-    The signal space is spanned by the top r left singular vectors of
-    vec_hankel(X).T; the remaining n2 - r columns form the noise subspace.
-    """
-    X = np.asarray(X)
-    if not 0 <= r < shape.n2:
-        raise ValueError("model order must satisfy 0 <= r < n2")
-    if np.linalg.norm(X) == 0.0:
-        raise ValueError("data matrix is zero; its singular subspaces "
-                         "are undefined")
-    U = _left_singular(vec_hankel(X, shape).T)
-    return NoiseSubspace(u_perp=U[:, r:], r=r)
-
-
-def noise_subspace_single(x_row: np.ndarray, r: int,
-                          shape: LiftShape) -> NoiseSubspace:
-    """Single-row variant: the scalar Hankel lift of one length-n vector."""
-    x_row = np.asarray(x_row).ravel()
-    if x_row.shape[0] != shape.n:
-        raise ValueError("row length must equal n")
-    one = LiftShape(n=shape.n, s=1, n1=shape.n1, n2=shape.n2)
-    return noise_subspace_vhm(x_row[None, :], r, one)
-
-
-def noise_subspace_mmv(X: np.ndarray, r: int) -> NoiseSubspace:
-    """Classical MMV MUSIC subspace from the transposed data matrix.
-
-    Works only when the row count is at least the model order; the steering
-    space has length n here, not n2.
-    """
-    X = np.asarray(X)
-    s, n = X.shape
-    if r > s:
-        raise ValueError("MMV subspace needs at least r rows (r <= s)")
-    if not 0 <= r < n:
-        raise ValueError("model order must satisfy 0 <= r < n")
-    if np.linalg.norm(X) == 0.0:
-        raise ValueError("data matrix is zero; its singular subspaces "
-                         "are undefined")
-    U = _left_singular(X.T)
-    return NoiseSubspace(u_perp=U[:, r:], r=r)
-
-
 def parse_estimator(name: str, s: int, r: int) -> tuple[str, int]:
     """Validate an estimator tag against the instance dimensions.
 
@@ -162,15 +108,26 @@ def parse_estimator(name: str, s: int, r: int) -> tuple[str, int]:
 def noise_subspace(X: np.ndarray, r: int, estimator: str,
                    n1: int | None = None) -> NoiseSubspace:
     """Noise subspace of an s x n data matrix by estimator tag (see
-    parse_estimator); n1 overrides the default lift split."""
+    parse_estimator); n1 overrides the default lift split except for "mmv".
+
+    The signal space is spanned by the top r left singular vectors of the
+    transposed lift vec_hankel(X[:rows]).T; the remaining n2 - r columns
+    form the noise subspace.
+    """
     X = np.atleast_2d(np.asarray(X))
     s, n = X.shape
     kind, rows = parse_estimator(estimator, s, r)
-    if kind == "mmv":
-        return noise_subspace_mmv(X, r)
-    if kind == "single":
-        return noise_subspace_single(X[0], r, LiftShape.default(n, 1, n1))
-    return noise_subspace_vhm(X[:rows], r, LiftShape.default(n, rows, n1))
+    shape = LiftShape.default(n, rows, 1 if kind == "mmv" else n1)
+    if not 0 <= r < shape.n2:
+        raise ValueError("model order must satisfy 0 <= r < n2")
+    X = X[:rows]
+    if np.linalg.norm(X) == 0.0:
+        raise ValueError("data matrix is zero; its singular subspaces "
+                         "are undefined")
+    M = vec_hankel(X, shape).T
+    # a thin U of a tall lift would drop noise directions beyond its width
+    U = np.linalg.svd(M, full_matrices=M.shape[0] > M.shape[1])[0]
+    return NoiseSubspace(u_perp=U[:, r:])
 
 
 def default_grid(step: float = 1e-4) -> np.ndarray:

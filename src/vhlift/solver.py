@@ -23,7 +23,7 @@ import numpy as np
 
 from . import io
 from .lift import LiftShape, hankel_weights, vec_hankel, vec_hankel_adjoint
-from .model import SubspaceMatrix
+from .model import SubspaceMatrix, apply_measurement, apply_measurement_adjoint
 
 __all__ = [
     "SolverConfig",
@@ -109,13 +109,12 @@ def solve_vhl(y: np.ndarray, B, shape: LiftShape,
                          "constrains nothing")
 
     w = hankel_weights(shape).astype(np.float64)
-    Bc = np.conj(Bm)
     rho = config.rho
 
     def project_feasible(M):
         # rank-one correction per column: enforce B[j,:] x_j = y[j]
-        resid = y - np.einsum("jl,lj->j", Bm, M)
-        return M + (Bc * (resid / row_sq)[:, None]).T
+        resid = y - apply_measurement(M, Bm)
+        return M + apply_measurement_adjoint(resid / row_sq, Bm)
 
     # least-norm feasible start
     X = project_feasible(np.zeros((shape.s, shape.n), dtype=np.complex128))

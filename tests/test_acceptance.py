@@ -20,9 +20,7 @@ from vhlift.bench import (
 )
 from vhlift.estimate import (
     default_grid,
-    noise_subspace_mmv,
-    noise_subspace_single,
-    noise_subspace_vhm,
+    noise_subspace,
     pick_peaks,
     pseudospectrum,
     recover_amplitudes,
@@ -164,7 +162,7 @@ def test_criterion_05_exact_recovery_instance():
     report = solve_vhl(y, B, shape)
     rel = np.linalg.norm(report.X_hat - X_true) / np.linalg.norm(X_true)
 
-    ns = noise_subspace_vhm(report.X_hat, r, shape)
+    ns = noise_subspace(report.X_hat, r, "vhm")
     peaks = pick_peaks(pseudospectrum(ns, default_grid()), r)
     tau_err = hausdorff_distance(model.taus, peaks.taus, metric="wraparound")
 
@@ -255,8 +253,6 @@ def test_criterion_10_noiseless_estimator_exactness():
     n, r = 64, 4
     step = 1e-4
     grid = default_grid(step)
-    shape_multi = LiftShape.default(n, 4)
-    shape_single = LiftShape.default(n, 1)
     worst = 0.0
     for trial in range(20):
         rng = np.random.default_rng(1000 + trial)
@@ -265,9 +261,9 @@ def test_criterion_10_noiseless_estimator_exactness():
         X_multi = synthesize_data_matrix(multi, n)
         X_single = synthesize_data_matrix(single, n)
         runs = (
-            (noise_subspace_vhm(X_multi, r, shape_multi), multi),
-            (noise_subspace_single(X_single[0], r, shape_single), single),
-            (noise_subspace_mmv(X_multi, r), multi),
+            (noise_subspace(X_multi, r, "vhm"), multi),
+            (noise_subspace(X_single[0], r, "single"), single),
+            (noise_subspace(X_multi, r, "mmv"), multi),
         )
         for subspace, model in runs:
             peaks = pick_peaks(pseudospectrum(subspace, grid), r)

@@ -1,6 +1,9 @@
 """Tests for metrics and the Monte Carlo harnesses (small grids only; the
 full-scale experiment checks live in the acceptance suite)."""
 
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -128,13 +131,20 @@ def test_phase_transition_failures_counted_not_raised():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_phase_transition_bugs_propagate(monkeypatch, workers):
-    # only numerical failures count as failed trials; a bug must surface
+    # only numerical failures count as failed trials; a bug must surface,
+    # and the trials queued behind it must not run
+    calls = itertools.count()
+
     def broken(*args, **kwargs):
+        # every call but the first is still running when its failure is read
+        if next(calls):
+            time.sleep(0.1)
         raise TypeError("bug")
 
     monkeypatch.setattr(bench, "solve_vhl", broken)
     with pytest.raises(TypeError, match="bug"):
         run_phase_transition(small_phase_config(), workers=workers)
+    assert next(calls) <= 1 + workers
 
 
 def test_phase_transition_progress_lines():

@@ -329,7 +329,7 @@ def test_config_file_precedence(tmp_path):
     assert subspace.seed == 9
 
 
-def test_config_file_errors(tmp_path):
+def test_config_file_errors(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
     assert run_cli("synth", "--config", cfg, "--out-dir", tmp_path) == 2
@@ -339,6 +339,14 @@ def test_config_file_errors(tmp_path):
     assert run_cli("synth", "--config", cfg, "--out-dir", tmp_path) == 2
     assert run_cli("synth", "--config", tmp_path / "nope.json",
                    "--out-dir", tmp_path) == 4
+    # a JSON null exits 2 naming the key unless null means "unset"
+    for command, key in (("synth", "seed"), ("phase-transition", "threshold"),
+                         ("music", "grid_step")):
+        cfg.write_text(json.dumps({key: None}))
+        capsys.readouterr()
+        assert run_cli(command, "--config", cfg, "--out-dir", tmp_path) == 2
+        assert capsys.readouterr().err == \
+            "error: config key %s must not be null\n" % key
 
 
 CONFIG_KEYS = {

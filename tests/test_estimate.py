@@ -7,9 +7,7 @@ import pytest
 from vhlift.estimate import (
     NoiseSubspace,
     default_grid,
-    noise_subspace_mmv,
-    noise_subspace_single,
-    noise_subspace_vhm,
+    noise_subspace,
     pick_peaks,
     pseudospectrum,
     recover_amplitudes,
@@ -43,7 +41,7 @@ def test_vhm_subspace_annihilates_true_frequencies():
         r = int(rng.integers(1, min(5, shape.n2 - 1)))
         m = sample_model(r, s, seed=rng)
         X = synthesize_data_matrix(m, n)
-        ns = noise_subspace_vhm(X, r, shape)
+        ns = noise_subspace(X, r, "vhm")
         assert ns.u_perp.shape == (shape.n2, shape.n2 - r)
         ortho = ns.u_perp.conj().T @ ns.u_perp
         assert np.max(np.abs(ortho - np.eye(shape.n2 - r))) < 1e-10
@@ -57,29 +55,26 @@ def test_vhm_subspace_annihilates_true_frequencies():
 def test_vhm_subspace_validation():
     shape = LiftShape.default(16, 2)
     with pytest.raises(ValueError):
-        noise_subspace_vhm(np.zeros((2, 16)), 1, shape)
+        noise_subspace(np.zeros((2, 16)), 1, "vhm")
     X = np.ones((2, 16))
     with pytest.raises(ValueError):
-        noise_subspace_vhm(X, shape.n2, shape)
+        noise_subspace(X, shape.n2, "vhm")
 
 
 def test_single_row_matches_vhm_at_s1():
     m = sample_model(2, 1, seed=3)
     X = synthesize_data_matrix(m, 24)
-    shape = LiftShape.default(24, 1)
-    a = noise_subspace_single(X[0], 2, shape)
-    b = noise_subspace_vhm(X, 2, shape)
+    a = noise_subspace(X[0], 2, "single")
+    b = noise_subspace(X, 2, "vhm")
     np.testing.assert_allclose(np.abs(a.u_perp.conj().T @ b.u_perp),
                                np.eye(a.u_perp.shape[1]), atol=1e-10)
     with pytest.raises(ValueError):
-        noise_subspace_single(np.zeros(24), 1, shape)
-    with pytest.raises(ValueError):
-        noise_subspace_single(X[0][:20], 1, shape)
+        noise_subspace(np.zeros(24), 1, "single")
 
 
 def test_single_row_peak_location():
     x = 2.0 * steering_vector(0.3, 32)
-    ns = noise_subspace_single(x, 1, LiftShape.default(32, 1))
+    ns = noise_subspace(x, 1, "single")
     curve = pseudospectrum(ns)
     peak = pick_peaks(curve, 1)
     assert not peak.padded
@@ -89,7 +84,7 @@ def test_single_row_peak_location():
 def test_mmv_subspace():
     m = sample_model(3, 4, seed=5, delta=1.0 / 32)
     X = synthesize_data_matrix(m, 32)
-    ns = noise_subspace_mmv(X, 3)
+    ns = noise_subspace(X, 3, "mmv")
     assert ns.u_perp.shape == (32, 29)
     sv = np.linalg.svd(X.T, compute_uv=False)
     assert sv[3] / sv[0] < 1e-8
@@ -97,7 +92,18 @@ def test_mmv_subspace():
     for tau in m.taus:
         assert min(wrap_dist(tau, t) for t in peaks.taus) <= GRID_STEP
     with pytest.raises(ValueError):
-        noise_subspace_mmv(X, 5)  # more sources than rows
+        noise_subspace(X, 5, "mmv")  # more sources than rows
+
+
+def test_special_cases_are_lifts():
+    # n1 = 1 is classical MMV MUSIC; "single" is the lift of a 1 x n matrix
+    rng = np.random.default_rng(18)
+    X = rng.standard_normal((4, 24)) + 1j * rng.standard_normal((4, 24))
+    assert np.array_equal(noise_subspace(X, 3, "mmv").u_perp,
+                          np.linalg.svd(X.T)[0][:, 3:])
+    row = X[1:2]
+    assert np.array_equal(noise_subspace(row, 3, "single").u_perp,
+                          noise_subspace(row, 3, "vhm:1").u_perp)
 
 
 # ---------------------------------------------------------------- curve
@@ -113,12 +119,11 @@ def test_default_grid():
 def test_pseudospectrum_blow_up_and_constant():
     m = sample_model(2, 2, seed=8, delta=0.05)
     X = synthesize_data_matrix(m, 48)
-    shape = LiftShape.default(48, 2)
-    ns = noise_subspace_vhm(X, 2, shape)
+    ns = noise_subspace(X, 2, "vhm")
     curve = pseudospectrum(ns, np.sort(m.taus))
     assert np.all(curve.values >= 1e12)
 
-    flat = pseudospectrum(NoiseSubspace(u_perp=np.eye(7), r=0),
+    flat = pseudospectrum(NoiseSubspace(u_perp=np.eye(7)),
                           default_grid(1e-2))
     np.testing.assert_allclose(flat.values, 1.0 / 7.0, rtol=1e-12)
 
@@ -249,12 +254,11 @@ def test_noiseless_pipeline_three_estimators():
     # reduced version of the estimator-exactness acceptance check
     for seed in range(5):
         n = 48
-        shape = LiftShape.default(n, 4)
         m = sample_model(4, 4, seed=seed, delta=1.0 / n)
         X = synthesize_data_matrix(m, n)
-        for ns in (noise_subspace_vhm(X, 4, shape),
-                   noise_subspace_single(X[0], 4, shape),
-                   noise_subspace_mmv(X, 4)):
+        for ns in (noise_subspace(X, 4, "vhm"),
+                   noise_subspace(X[0], 4, "single"),
+                   noise_subspace(X, 4, "mmv")):
             peaks = pick_peaks(pseudospectrum(ns), 4)
             err = max(min(wrap_dist(t, th) for th in peaks.taus)
                       for t in m.taus)
