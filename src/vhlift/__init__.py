@@ -28,7 +28,6 @@ from .model import (
     sample_subspace,
     save_problem,
     steering_matrix,
-    steering_vector,
     synthesize_data_matrix,
     wraparound_gap,
 )
@@ -41,11 +40,9 @@ from .solver import (
     svt,
 )
 from .estimate import (
-    NoiseSubspace,
     PeakSelection,
     PseudospectrumCurve,
     RecoveredSources,
-    default_grid,
     noise_subspace,
     pick_peaks,
     pseudospectrum,

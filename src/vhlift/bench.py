@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimate import (
-    default_grid,
+    GRID_STEP,
+    grid_size,
     noise_subspace,
     parse_estimator,
     pick_peaks,
@@ -32,6 +33,8 @@ from .lift import LiftShape
 from .model import (
     add_noise,
     apply_measurement,
+    check_snr,
+    min_separation,
     sample_model,
     sample_subspace,
     synthesize_data_matrix,
@@ -123,6 +126,7 @@ class PhaseTransitionConfig:
             raise ValueError("need at least one trial per cell")
         if not self.threshold > 0:
             raise ValueError("threshold must be positive")
+        min_separation(self.delta)
 
     def cell_params(self, i: int, j: int) -> dict:
         p = dict(self.fixed)
@@ -141,10 +145,7 @@ class TrialGrid:
 
     @property
     def counts(self) -> np.ndarray:
-        return self.counts_at(self.config.threshold)
-
-    def counts_at(self, threshold: float) -> np.ndarray:
-        return (self.errors < threshold).sum(axis=2)
+        return (self.errors < self.config.threshold).sum(axis=2)
 
 
 def _phase_trial(config: PhaseTransitionConfig, cell: int, params: dict,
@@ -212,9 +213,9 @@ def run_phase_transition(config: PhaseTransitionConfig, workers: int = 1,
 # ---------------------------------------------------------------- SNR sweep
 
 def estimate_frequencies(X: np.ndarray, r: int, estimator: str,
-                         grid: np.ndarray | None = None) -> np.ndarray:
+                         step: float = GRID_STEP) -> np.ndarray:
     """Run one named estimator on a data matrix and return r frequencies."""
-    return pick_peaks(pseudospectrum(noise_subspace(X, r, estimator), grid),
+    return pick_peaks(pseudospectrum(noise_subspace(X, r, estimator), step),
                       r).taus
 
 
@@ -232,11 +233,11 @@ class SweepConfig:
     delta: float | None = 1.0 / 64
     orient_law: str = "gaussian"
     metric: str = "plain"
-    grid_step: float = 1e-4
+    grid_step: float = GRID_STEP
     base_seed: int = 0
 
     def __post_init__(self):
-        self.snr_db = tuple(float(v) for v in self.snr_db)
+        self.snr_db = tuple(check_snr(v) for v in self.snr_db)
         self.estimators = tuple(self.estimators)
         if self.n < 1 or self.s < 1 or self.r < 1 or self.trials < 1:
             raise ValueError("n, s, r, trials must be positive")
@@ -244,6 +245,8 @@ class SweepConfig:
             raise ValueError("need at least one SNR level and one estimator")
         if self.metric not in ("plain", "wraparound"):
             raise ValueError("metric must be 'plain' or 'wraparound'")
+        min_separation(self.delta)
+        grid_size(self.grid_step)
         for est in self.estimators:
             parse_estimator(est, self.s, self.r)
 
@@ -258,8 +261,7 @@ class SweepResult:
         return self.errors.mean(axis=2)
 
 
-def _sweep_trial(config: SweepConfig, grid: np.ndarray, si: int,
-                 t: int) -> np.ndarray:
+def _sweep_trial(config: SweepConfig, si: int, t: int) -> np.ndarray:
     rng = np.random.default_rng(
         np.random.SeedSequence((config.base_seed, si, t)))
     model = sample_model(config.r, config.s, seed=rng, delta=config.delta,
@@ -268,7 +270,7 @@ def _sweep_trial(config: SweepConfig, grid: np.ndarray, si: int,
     Xn = add_noise(X, config.snr_db[si], seed=rng)
     out = np.empty(len(config.estimators))
     for e, est in enumerate(config.estimators):
-        taus_hat = estimate_frequencies(Xn, config.r, est, grid)
+        taus_hat = estimate_frequencies(Xn, config.r, est, config.grid_step)
         out[e] = hausdorff_distance(model.taus, taus_hat, config.metric)
     return out
 
@@ -277,7 +279,6 @@ def run_snr_sweep(config: SweepConfig, workers: int = 1,
                   progress=None) -> SweepResult:
     """All estimators see the same noisy matrix within a trial, so the
     comparison across estimators is paired."""
-    grid = default_grid(config.grid_step)
     errors = np.full((len(config.estimators), len(config.snr_db),
                       config.trials), np.inf)
     tasks = [((si, t), "snr=%g trial %d/%d" % (snr, t + 1, config.trials))
@@ -285,8 +286,7 @@ def run_snr_sweep(config: SweepConfig, workers: int = 1,
              for t in range(config.trials)]
 
     def runner(slot):
-        si, t = slot
-        return _sweep_trial(config, grid, si, t)
+        return _sweep_trial(config, *slot)
 
     for (si, t), vals in _run_tasks(tasks, runner, workers, progress):
         errors[:, si, t] = vals

