@@ -126,7 +126,10 @@ class PhaseTransitionConfig:
             raise ValueError("need at least one trial per cell")
         if not self.threshold > 0:
             raise ValueError("threshold must be positive")
-        min_separation(self.delta)
+        axes = {self.axis1_name: self.axis1_values,
+                self.axis2_name: self.axis2_values}
+        min_separation(max(axes["r"]) if "r" in axes else self.fixed["r"],
+                       self.delta)
 
     def cell_params(self, i: int, j: int) -> dict:
         p = dict(self.fixed)
@@ -245,7 +248,7 @@ class SweepConfig:
             raise ValueError("need at least one SNR level and one estimator")
         if self.metric not in ("plain", "wraparound"):
             raise ValueError("metric must be 'plain' or 'wraparound'")
-        min_separation(self.delta)
+        min_separation(self.r, self.delta)
         grid_size(self.grid_step)
         for est in self.estimators:
             parse_estimator(est, self.s, self.r)

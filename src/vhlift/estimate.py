@@ -39,6 +39,8 @@ __all__ = [
 
 COND_LIMIT = 1e12  # least-squares steering matrices beyond this are flagged
 GRID_STEP = 1e-4  # default spacing of the pseudospectrum frequency grid
+# a grid of N points costs an m x N complex steering matrix per call
+MAX_GRID_POINTS = 10 ** 6
 
 
 @dataclass
@@ -121,11 +123,16 @@ def noise_subspace(X: np.ndarray, r: int, estimator: str,
 
 def grid_size(step: float) -> int:
     """Point count of the uniform grid over [0, 1) with the given step; a
-    step that is not a positive number or leaves no point is rejected."""
+    step that is not a positive number, leaves no point or has 1 / step
+    above MAX_GRID_POINTS is rejected."""
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError("grid step must be a positive number, got %r"
                          % (step,))
-    count = int(round(1.0 / step))
+    points = 1.0 / step  # overflows to inf for a tiny enough step
+    if not points <= MAX_GRID_POINTS:
+        raise ValueError("grid step %r too small: 1 / step may be at most %d"
+                         % (step, MAX_GRID_POINTS))
+    count = int(round(points))
     if count < 1:
         raise ValueError("grid step too large")
     return count

@@ -91,10 +91,16 @@ def vec_hankel_adjoint(Z: np.ndarray, shape: LiftShape) -> np.ndarray:
     """Adjoint of the lift: column i of the output sums blocks with j + k = i."""
     Z = _check_lifted(Z, shape)
     blocks = Z.reshape(shape.n1, shape.s, shape.n2)
-    out = np.zeros((shape.s, shape.n), dtype=np.result_type(Z.dtype, np.float64))
-    for j in range(shape.n1):
-        out[:, j:j + shape.n2] += blocks[j]
-    return out
+    dtype = np.result_type(Z.dtype, np.float64)
+    # spread[:, j, j:j + n2] = blocks[j] through one sheared view, then
+    # sum over j in order, as a loop of += over j would
+    spread = np.zeros((shape.s, shape.n1, shape.n), dtype=dtype)
+    st0, st1, st2 = spread.strides
+    sheared = np.lib.stride_tricks.as_strided(
+        spread, shape=(shape.s, shape.n1, shape.n2),
+        strides=(st0, st1 + st2, st2))
+    sheared[...] = blocks.transpose(1, 0, 2)
+    return spread.sum(axis=1)
 
 
 def iso_lift(X: np.ndarray, shape: LiftShape) -> np.ndarray:

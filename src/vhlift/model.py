@@ -146,13 +146,20 @@ def wraparound_gap(taus) -> float:
     return float(min(gaps.min(), wrap))
 
 
-def min_separation(delta: float | None) -> float:
-    """The gap sample_model enforces: max(delta, 1e-9), 1e-9 for None."""
+def min_separation(r: int, delta: float | None) -> float:
+    """The gap sample_model enforces between r frequencies: max(delta,
+    1e-9), 1e-9 for None; rejected when r of them cannot keep it on the
+    circle."""
     if delta is None:
-        return 1e-9
-    if np.isnan(delta):
+        gap = 1e-9
+    elif np.isnan(delta):
         raise ValueError("separation delta must be a number, got nan")
-    return max(float(delta), 1e-9)
+    else:
+        gap = max(float(delta), 1e-9)
+    if r * gap > 1.0:
+        raise ValueError("cannot place %d frequencies with separation %g on "
+                         "the circle" % (r, gap))
+    return gap
 
 
 def sample_model(r: int, s: int, seed=None, delta: float | None = None,
@@ -172,10 +179,7 @@ def sample_model(r: int, s: int, seed=None, delta: float | None = None,
         raise ValueError("need r >= 1 and s >= 1")
     if orient_law not in ("gaussian", "bernoulli"):
         raise ValueError("orient_law must be 'gaussian' or 'bernoulli'")
-    min_gap = min_separation(delta)
-    if r * min_gap > 1.0:
-        raise ValueError("cannot place %d frequencies with separation %g on the circle"
-                         % (r, min_gap))
+    min_gap = min_separation(r, delta)
     rng = np.random.default_rng(seed)
     for _ in range(1000):
         taus = rng.random(r)

@@ -10,9 +10,11 @@ the adjoint-lift composition is a diagonal column weighting, the X-update
 has a per-column closed form: the unconstrained minimizer of
 ||(Z + Lam/rho) - vec_hankel(X)||_F^2 is m_j = adjoint(Z + Lam/rho)_j / w_j,
 and re-imposing the scalar constraint on column j is a rank-one Euclidean
-projection.  The Z-update is singular value thresholding at 1/rho and the
-dual update is Lam <- Lam + rho (Z - vec_hankel(X)) (unscaled dual; the
-quantities Lam/rho appearing in the updates are the scaled dual variable).
+projection.  The Z-update is singular value thresholding at 1/rho, taken
+from the eigendecomposition of the Gram matrix on the smaller side of the
+lift (n2 x n2 for the tall lifts of s >= 2), and the dual update is
+Lam <- Lam + rho (Z - vec_hankel(X)) (unscaled dual; the quantities
+Lam/rho appearing in the updates are the scaled dual variable).
 """
 
 from __future__ import annotations
@@ -70,15 +72,28 @@ def svt(M: np.ndarray, threshold: float,
         rank_cap: int | None = None) -> np.ndarray:
     """Singular value soft-thresholding, the proximal map of the nuclear norm.
 
-    Optionally zeroes all singular values beyond rank_cap.
+    Optionally zeroes all singular values beyond rank_cap.  Computed from
+    the eigendecomposition of the Gram matrix on the smaller side of M
+    (M^H M when M is tall, M M^H when it is wide): with sigma_i the
+    singular values above the threshold tau and V_k their right singular
+    vectors, the result is M V_k diag((sigma - tau) / sigma) V_k^H.  Its
+    error relative to a full SVD grows like eps * sigma_max / tau.
     """
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError("threshold must be nonnegative")
-    U, sig, Vh = np.linalg.svd(M, full_matrices=False)
-    shrunk = np.maximum(sig - threshold, 0.0)
+    if rank_cap is not None and rank_cap < 0:
+        raise ValueError("rank_cap must be nonnegative")
+    M = np.asarray(M)
+    wide = M.shape[0] < M.shape[1]
+    A = M.conj().T if wide else M
+    lam, V = np.linalg.eigh(A.conj().T @ A)
+    sig = np.sqrt(np.maximum(lam[::-1], 0.0))  # descending
+    k = int(np.count_nonzero(sig > threshold))
     if rank_cap is not None:
-        shrunk[rank_cap:] = 0.0
-    return (U * shrunk) @ Vh
+        k = min(k, rank_cap)
+    Vk = V[:, ::-1][:, :k]
+    Z = ((A @ Vk) * ((sig[:k] - threshold) / sig[:k])) @ Vk.conj().T
+    return Z.conj().T if wide else Z
 
 
 def nuclear_norm(M: np.ndarray) -> float:
@@ -128,13 +143,15 @@ def solve_vhl(y: np.ndarray, B, shape: LiftShape,
     it = 0
     converged = False
     for it in range(1, config.max_iters + 1):
-        M = vec_hankel_adjoint(Z + Lam / rho, shape) / w
+        scaled_dual = Lam / rho
+        M = vec_hankel_adjoint(Z + scaled_dual, shape) / w
         X_new = project_feasible(M)
         HX = vec_hankel(X_new, shape)
-        Z = svt(HX - Lam / rho, 1.0 / rho, config.svt_rank_cap)
-        Lam += rho * (Z - HX)
+        Z = svt(HX - scaled_dual, 1.0 / rho, config.svt_rank_cap)
+        gap = Z - HX
+        Lam += rho * gap
 
-        primal = np.linalg.norm(Z - HX) / max(1.0, np.linalg.norm(HX))
+        primal = np.linalg.norm(gap) / max(1.0, np.linalg.norm(HX))
         # ||vec_hankel(dX)||_F via the diagonal weighting, no lift needed
         dX = X_new - X
         dual = rho * np.sqrt(np.sum(w * np.abs(dX) ** 2)) \

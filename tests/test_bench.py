@@ -95,6 +95,15 @@ def test_phase_config_validation():
         small_phase_config(axis1_values=())
     with pytest.raises(ValueError, match="delta must be a number, got nan"):
         small_phase_config(delta=float("nan"))
+    # the largest r of the grid must fit at the separation, on an axis or
+    # fixed; the smaller r of the grid would fit
+    place = "cannot place 2 frequencies with separation 0.6 on the circle"
+    with pytest.raises(ValueError, match=place):
+        small_phase_config(delta=0.6)
+    with pytest.raises(ValueError, match=place):
+        small_phase_config(axis1_name="n", axis1_values=(16,),
+                           fixed={"r": 2}, delta=0.6)
+    small_phase_config(delta=0.5)
 
 
 def test_phase_transition_easy_cells_and_determinism(tmp_path):
@@ -190,6 +199,8 @@ def test_sweep_config_validation():
             small_sweep_config(snr_db=(10.0, snr))
     with pytest.raises(ValueError, match="delta must be a number, got nan"):
         small_sweep_config(delta=float("nan"))
+    with pytest.raises(ValueError, match="cannot place 2 frequencies"):
+        small_sweep_config(delta=0.6)
     for step in (0.0, -1e-3, float("nan")):
         with pytest.raises(ValueError, match="grid step must be a positive"):
             small_sweep_config(grid_step=step)

@@ -318,6 +318,34 @@ def test_grid_step_must_be_positive(tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+def test_grid_step_too_small(tmp_path, capsys):
+    # a step whose 1 / step overflows, and one asking for 10^6 + 1 points
+    _, x_path, _ = synth_files(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    for step in ("1e-320", "9.99999e-7"):
+        assert run_cli("music", "--x", x_path, "--r", 4,
+                       "--grid-step=" + step, "--out-dir", out) == 2
+        assert run_cli("snr-sweep", "--n", 16, "--s", 2, "--r", 2,
+                       "--estimators", "vhm:1,vhm", "--trials", 1,
+                       "--grid-step=" + step, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err == "error: grid step %r too small: 1 / step may be at " \
+            "most 1000000\n" % float(step) * 2
+    assert not any(out.iterdir())
+
+
+def test_phase_transition_infeasible_separation(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli("phase-transition", "--values1", 2, "--values2", 1,
+                   "--fixed", "n=16", "--trials", 1, "--delta", 1,
+                   "--out-dir", out) == 2
+    assert capsys.readouterr().err == "error: cannot place 2 frequencies " \
+        "with separation 1 on the circle\n"  # no trial ran
+    assert not any(out.iterdir())
+
+
 def test_non_finite_snr_and_delta_rejected(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()

@@ -158,6 +158,19 @@ def test_adjoint_matches_loop_reference():
                                    adjoint_by_loops(Z, sh), rtol=0, atol=1e-13)
 
 
+def test_adjoint_sums_blocks_in_loop_order():
+    # the vectorized adjoint adds the blocks in the loop's j order, so it
+    # reproduces the oracle bit for bit, not only to rounding
+    rng = np.random.default_rng(3)
+    n = 64
+    for s in (1, 3, 8):
+        for n1 in (1, (n + 1) // 2, n):
+            sh = LiftShape(n=n, s=s, n1=n1, n2=n + 1 - n1)
+            Z = crandn(rng, s * n1, sh.n2)
+            np.testing.assert_array_equal(vec_hankel_adjoint(Z, sh),
+                                          adjoint_by_loops(Z, sh))
+
+
 def test_adjointness_inner_products():
     rng = np.random.default_rng(3)
     for _ in range(100):

@@ -39,6 +39,55 @@ def test_svt_diagonal_case_and_rank_cap():
     np.testing.assert_allclose(capped, np.diag([4.0, 3.0, 0.0]), atol=1e-14)
     with pytest.raises(ValueError):
         svt(M, -1.0)
+    with pytest.raises(ValueError):
+        svt(np.eye(2), np.nan)
+    with pytest.raises(ValueError):
+        svt(M, 1.0, rank_cap=-1)
+
+
+def svt_by_svd(M, threshold, rank_cap=None):
+    U, sig, Vh = np.linalg.svd(M, full_matrices=False)
+    shrunk = np.maximum(sig - threshold, 0.0)
+    if rank_cap is not None:
+        shrunk[rank_cap:] = 0.0
+    return (U * shrunk) @ Vh
+
+
+def with_singular_values(rng, rows, cols, sig):
+    def orthonormal(m):
+        Q, _ = np.linalg.qr(rng.standard_normal((m, len(sig)))
+                            + 1j * rng.standard_normal((m, len(sig))))
+        return Q
+    return (orthonormal(rows) * sig) @ orthonormal(cols).conj().T
+
+
+def test_svt_matches_svd_reference():
+    rng = np.random.default_rng(4)
+
+    def assert_close(Z, ref):
+        assert Z.shape == ref.shape
+        assert np.linalg.norm(Z - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    # tall lifts (s = 3 and s = 8 at n = 64) and the wide one of s = 1
+    for rows, cols in ((96, 33), (256, 33), (32, 33)):
+        sig = np.logspace(6, -3, min(rows, cols))
+        M = with_singular_values(rng, rows, cols, sig)
+        assert_close(svt(M, 1.0), svt_by_svd(M, 1.0))
+        assert_close(svt(M.conj().T, 1.0), svt_by_svd(M.conj().T, 1.0))
+        assert_close(svt(M, 1.0, rank_cap=3), svt_by_svd(M, 1.0, rank_cap=3))
+        np.testing.assert_array_equal(svt(M, 1.0, rank_cap=0),
+                                      np.zeros_like(M))
+    # rank-deficient: rank 5 of 33, kept whole and thresholded
+    M = with_singular_values(rng, 96, 33, np.array([9.0, 7.0, 5.0, 3.0, 1.0]))
+    for threshold in (0.0, 0.5, 4.0):
+        assert_close(svt(M, threshold), svt_by_svd(M, threshold))
+        assert_close(svt(M.T, threshold), svt_by_svd(M.T, threshold))
+    # the zero matrix stays zero, also at threshold 0
+    for shape in ((96, 33), (32, 33)):
+        for threshold in (0.0, 1.0):
+            Z = svt(np.zeros(shape, dtype=complex), threshold)
+            assert Z.dtype == complex
+            np.testing.assert_array_equal(Z, np.zeros(shape))
 
 
 # ---------------------------------------------------------------- nuclear norm
