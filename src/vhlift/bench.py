@@ -65,11 +65,12 @@ def relative_error(X_hat: np.ndarray, X_ref: np.ndarray) -> float:
     X_ref = np.asarray(X_ref)
     if X_hat.shape != X_ref.shape:
         raise ValueError("shape mismatch")
-    ref = np.linalg.norm(X_ref)
-    diff = np.linalg.norm(X_hat - X_ref)
-    if ref == 0.0:
-        return 0.0 if diff == 0.0 else np.inf
-    return float(diff / ref)
+    # both sides over max|X_ref|, so that no norm overflows at large scales
+    peak = float(np.max(np.abs(X_ref), initial=0.0))
+    if peak == 0.0:
+        return np.inf if np.any(X_hat) else 0.0
+    return float(np.linalg.norm(X_hat / peak - X_ref / peak)
+                 / np.linalg.norm(X_ref / peak))
 
 
 def hausdorff_distance(taus, taus_hat, metric: str = "plain") -> float:

@@ -203,7 +203,8 @@ SYNTH = (
 )
 
 SOLVER = (  # SolverConfig fields
-    Opt("rho", field="rho", type=float),
+    Opt("rho", field="rho", type=float,
+        help="inverse SVT threshold, relative to unit-RMS data"),
     Opt("tol", field="tol_rel", type=float),
     Opt("max_iters", field="max_iters", parse=_positive_int, type=int),
     Opt("rank_cap", field="svt_rank_cap", parse=_maybe_count, type=int),

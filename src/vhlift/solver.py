@@ -15,6 +15,13 @@ from the eigendecomposition of the Gram matrix on the smaller side of the
 lift (n2 x n2 for the tall lifts of s >= 2), and the dual update is
 Lam <- Lam + rho (Z - vec_hankel(X)) (unscaled dual; the quantities
 Lam/rho appearing in the updates are the scaled dual variable).
+
+The program is scale-equivariant (if X* solves it for y, c X* solves it for
+c y), but a fixed threshold 1/rho is not.  So the iteration runs on
+y / rms(y), with rms(y) = ||y||_2 / sqrt(n) taken as 1 for y = 0, and the
+iterate is scaled back on return.  rho is thus the inverse SVT threshold
+relative to unit-RMS data, and neither the iteration count nor X_hat / c
+depends on the units of y.
 """
 
 from __future__ import annotations
@@ -40,6 +47,10 @@ __all__ = [
 
 @dataclass
 class SolverConfig:
+    """ADMM settings.  The solve runs on y / rms(y), so rho is the inverse
+    SVT threshold relative to unit-RMS data and tol_rel bounds the residuals
+    of that normalised problem."""
+
     rho: float = 1.0
     max_iters: int = 5000
     tol_rel: float = 1e-7
@@ -109,6 +120,8 @@ def solve_vhl(y: np.ndarray, B, shape: LiftShape,
     Every X iterate satisfies the measurement constraint exactly, so the
     returned X_hat is always feasible; converged=False only means the
     primal/dual residuals did not both reach tol_rel within max_iters.
+    The iteration runs on y / c with c = rms(y), and the reported residuals
+    are those of that normalised problem.
     """
     if config is None:
         config = SolverConfig()
@@ -122,6 +135,12 @@ def solve_vhl(y: np.ndarray, B, shape: LiftShape,
     if np.any(row_sq == 0.0):
         raise ValueError("sensing matrix has a zero row; that measurement "
                          "constrains nothing")
+
+    # c = rms(y), taken on y / max|y| so that no finite y overflows it
+    peak = float(np.max(np.abs(y)))
+    c = peak * float(np.linalg.norm(y / peak)) / np.sqrt(shape.n) \
+        if peak > 0.0 else 1.0
+    y = y / c
 
     w = hankel_weights(shape).astype(np.float64)
     rho = config.rho
@@ -164,12 +183,13 @@ def solve_vhl(y: np.ndarray, B, shape: LiftShape,
             converged = True
             break
 
+    X_hat = c * X
     return SolveReport(
-        X_hat=X,
+        X_hat=X_hat,
         iters=it,
         primal_residual=float(primal),
         dual_residual=float(dual),
-        nuclear_norm=nuclear_norm(vec_hankel(X, shape)),
+        nuclear_norm=nuclear_norm(vec_hankel(X_hat, shape)),
         converged=converged,
         primal_history=np.array(hist_p) if keep_history else None,
         dual_history=np.array(hist_d) if keep_history else None,

@@ -3,6 +3,7 @@ full-scale experiment checks live in the acceptance suite)."""
 
 import itertools
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,17 @@ def test_relative_error_conventions():
     assert relative_error(X, np.zeros_like(X)) == np.inf
     with pytest.raises(ValueError):
         relative_error(np.ones((2, 2)), X)
+
+
+def test_relative_error_at_extreme_scales():
+    for scale in (1e-300, 1e300):
+        X = np.full((2, 3), scale, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert relative_error(X * (1 + 1e-9), X) \
+                == pytest.approx(1e-9, rel=1e-6)
+            assert relative_error(-X, X) == pytest.approx(2.0)
+    assert relative_error(np.full(3, np.nan), np.zeros(3)) == np.inf
 
 
 def test_hausdorff_metrics():

@@ -165,6 +165,19 @@ def test_solve_recovers_synth_output(tmp_path):
     assert rel < 1e-3
 
 
+def test_solve_iterations_do_not_depend_on_data_units(tmp_path, capsys):
+    model_path, _, y_path = synth_files(tmp_path)
+    assert run_cli("solve", "--model", model_path, "--y", y_path,
+                   "--out-dir", tmp_path) == 0
+    iters = json.loads((tmp_path / "report.json").read_text())["iters"]
+    scaled = tmp_path / "y_scaled.csv"
+    io.write_complex_vector_csv(scaled, 1e6 * io.read_complex_vector_csv(y_path))
+    capsys.readouterr()
+    assert run_cli("solve", "--model", model_path, "--y", scaled,
+                   "--out-dir", tmp_path) == 0
+    assert " in %d iters," % iters in capsys.readouterr().out
+
+
 def test_solve_zero_measurements(tmp_path):
     model_path, _, y_path = synth_files(tmp_path)
     io.write_complex_vector_csv(y_path, np.zeros(64, dtype=np.complex128))

@@ -179,6 +179,26 @@ def test_merit_windows_catch_divergence_not_transients():
         assert merit[t] <= merit[t - 50] * 1.000001 + 1e-12
 
 
+def test_solve_is_scale_equivariant():
+    # the iteration runs on y / rms(y): the same iterations, flags and
+    # recovery at every scale of the data, out to the extremes of float64
+    rng = np.random.default_rng(3)
+    model = sample_model(2, 3, seed=rng)
+    B = sample_subspace("gaussian", 64, 3, seed=rng)
+    X = synthesize_data_matrix(model, 64)
+    y = apply_measurement(X, B)
+    shape = LiftShape.default(64, 3)
+    reps = {c: solve_vhl(c * y, B, shape) for c in (1e-4, 1.0, 1e2, 1e6)}
+    assert len({(rep.iters, rep.converged) for rep in reps.values()}) == 1
+    for c, rep in reps.items():
+        assert rep.converged
+        assert np.linalg.norm(rep.X_hat / c - X) / np.linalg.norm(X) < 1e-3
+    for c in (1e-300, 1e300):
+        rep = solve_vhl(c * y, B, shape)
+        assert rep.converged
+        assert np.all(np.isfinite(rep.X_hat))
+
+
 def test_degenerate_fully_constrained():
     rng = np.random.default_rng(9)
     y = rng.standard_normal(10) + 1j * rng.standard_normal(10)
