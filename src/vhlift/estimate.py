@@ -7,8 +7,11 @@ split, "single" lifts one row, and "mmv" lifts all rows at n1 = 1, where the
 lift is the data matrix itself (classical multiple-measurement-vector
 MUSIC, which needs at least as many rows as sources).  The pseudospectrum
 1/||U_perp^* a_tau||^2 is evaluated on a uniform grid and frequencies are
-picked as the largest strict local maxima on the circular grid.  Amplitudes
-and orientations are then recovered by least squares against the steering
+picked as the largest strict local maxima on the circular grid.  Its
+denominator g(tau) = a_tau^* P a_tau, with P = U_perp U_perp^*, is a
+trigonometric polynomial whose coefficients are the diagonal sums of P, so
+the whole grid comes from one FFT of those sums.  Amplitudes and
+orientations are then recovered by least squares against the steering
 matrix at the estimated frequencies.
 """
 
@@ -39,7 +42,7 @@ __all__ = [
 
 COND_LIMIT = 1e12  # least-squares steering matrices beyond this are flagged
 GRID_STEP = 1e-4  # default spacing of the pseudospectrum frequency grid
-# a grid of N points costs an m x N complex steering matrix per call
+# bounds the grid arrays, one length-N FFT per call and pseudospectrum.csv
 MAX_GRID_POINTS = 10 ** 6
 
 
@@ -143,19 +146,27 @@ def pseudospectrum(u_perp: np.ndarray, step: float = GRID_STEP
     """Evaluate f(tau) = 1 / ||U_perp^* a_tau||^2 on the uniform grid
     tau = k / count, k = 0 .. count - 1, with count = grid_size(step).
 
-    Values blow up (possibly to inf) near true frequencies of exact
-    low-rank data; that is the signal being looked for.
+    The denominator g(tau) = sum_d c_d exp(2i pi d tau) has as coefficient
+    c_d the sum of the d-th diagonal of P = U_perp U_perp^*, so g on the
+    grid is count times one inverse FFT of the c_d folded modulo count.
+    Values blow up near true frequencies of exact low-rank data; that is
+    the signal being looked for.  Where roundoff leaves g <= 0 the value
+    is inf.
     """
     count = grid_size(step)
     # scaled in place: a freed int arange temporary here was measured to make
     # the allocator release and page-fault back about 6 MB on every call
     grid = np.arange(count, dtype=np.float64)
     grid *= 1.0 / count
-    A = steering_matrix(grid, u_perp.shape[0])
-    proj = u_perp.conj().T @ A
-    power = np.sum(np.abs(proj) ** 2, axis=0)
+    P = u_perp @ u_perp.conj().T
+    j = np.arange(P.shape[0])
+    diag = ((j[:, None] - j[None, :]) % count).ravel()  # d = j - k mod count
+    coeffs = (np.bincount(diag, P.real.ravel(), count)
+              + 1j * np.bincount(diag, P.imag.ravel(), count))
+    g = np.fft.ifft(coeffs).real * count
     with np.errstate(divide="ignore"):
-        values = 1.0 / power
+        values = 1.0 / g
+    values[g <= 0.0] = np.inf
     return PseudospectrumCurve(grid=grid, values=values)
 
 
@@ -174,12 +185,14 @@ def pick_peaks(curve: PseudospectrumCurve, r: int) -> PeakSelection:
     if r > v.size:
         raise ValueError("cannot pick more peaks than grid points")
     is_max = (v > np.roll(v, 1)) & (v > np.roll(v, -1))
-    order = np.lexsort((g, -v))  # value descending, then tau ascending
-    maxima = order[is_max[order]]
+    maxima = np.flatnonzero(is_max)
+    # value descending, then tau ascending
+    maxima = maxima[np.lexsort((g[maxima], -v[maxima]))]
     if maxima.size >= r:
         chosen = maxima[:r]
         padded = False
     else:
+        order = np.lexsort((g, -v))
         rest = order[~is_max[order]]
         chosen = np.concatenate([maxima, rest[:r - maxima.size]])
         padded = True

@@ -121,7 +121,9 @@ def solve_vhl(y: np.ndarray, B, shape: LiftShape,
     returned X_hat is always feasible; converged=False only means the
     primal/dual residuals did not both reach tol_rel within max_iters.
     The iteration runs on y / c with c = rms(y), and the reported residuals
-    are those of that normalised problem.
+    are those of that normalised problem.  With s = 1 the measurements fix
+    X outright: the least-norm feasible start is returned as converged
+    after one iteration with zero residuals.
     """
     if config is None:
         config = SolverConfig()
@@ -157,31 +159,38 @@ def solve_vhl(y: np.ndarray, B, shape: LiftShape,
 
     hist_p = []
     hist_d = []
-    primal = np.inf
-    dual = np.inf
-    it = 0
-    converged = False
-    for it in range(1, config.max_iters + 1):
-        scaled_dual = Lam / rho
-        M = vec_hankel_adjoint(Z + scaled_dual, shape) / w
-        X_new = project_feasible(M)
-        HX = vec_hankel(X_new, shape)
-        Z = svt(HX - scaled_dual, 1.0 / rho, config.svt_rank_cap)
-        gap = Z - HX
-        Lam += rho * gap
-
-        primal = np.linalg.norm(gap) / max(1.0, np.linalg.norm(HX))
-        # ||vec_hankel(dX)||_F via the diagonal weighting, no lift needed
-        dX = X_new - X
-        dual = rho * np.sqrt(np.sum(w * np.abs(dX) ** 2)) \
-            / max(1.0, np.linalg.norm(Lam))
-        X = X_new
+    if shape.s == 1:
+        # each measurement fixes its column, so the start is the only
+        # feasible point and hence the minimiser
+        it, primal, dual, converged = 1, 0.0, 0.0, True
         if keep_history:
-            hist_p.append(primal)
-            hist_d.append(dual)
-        if primal <= config.tol_rel and dual <= config.tol_rel:
-            converged = True
-            break
+            hist_p, hist_d = [primal], [dual]
+    else:
+        primal = np.inf
+        dual = np.inf
+        it = 0
+        converged = False
+        for it in range(1, config.max_iters + 1):
+            scaled_dual = Lam / rho
+            M = vec_hankel_adjoint(Z + scaled_dual, shape) / w
+            X_new = project_feasible(M)
+            HX = vec_hankel(X_new, shape)
+            Z = svt(HX - scaled_dual, 1.0 / rho, config.svt_rank_cap)
+            gap = Z - HX
+            Lam += rho * gap
+
+            primal = np.linalg.norm(gap) / max(1.0, np.linalg.norm(HX))
+            # ||vec_hankel(dX)||_F via the diagonal weighting, no lift needed
+            dX = X_new - X
+            dual = rho * np.sqrt(np.sum(w * np.abs(dX) ** 2)) \
+                / max(1.0, np.linalg.norm(Lam))
+            X = X_new
+            if keep_history:
+                hist_p.append(primal)
+                hist_d.append(dual)
+            if primal <= config.tol_rel and dual <= config.tol_rel:
+                converged = True
+                break
 
     X_hat = c * X
     return SolveReport(

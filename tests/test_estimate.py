@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from vhlift.estimate import (
+    PseudospectrumCurve,
     grid_size,
     noise_subspace,
     pick_peaks,
@@ -138,7 +139,96 @@ def test_pseudospectrum_blow_up_and_constant():
     np.testing.assert_allclose(flat.values, 1.0 / 7.0, rtol=1e-12)
 
 
+def steering_power(u_perp, step):
+    """Oracle for the denominator: ||U_perp^* a_tau||^2 from the explicit
+    m x N steering matrix on the grid tau = k / N."""
+    count = grid_size(step)
+    A = steering_matrix(np.arange(count) / count, u_perp.shape[0])
+    return np.sum(np.abs(u_perp.conj().T @ A) ** 2, axis=0)
+
+
+def test_pseudospectrum_matches_steering_oracle():
+    rng = np.random.default_rng(21)
+    Z = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))
+    u_perp = np.linalg.qr(Z)[0][:, 4:]
+    # step 0.05 gives 20 points, fewer than m = 33: the diagonals fold
+    for step in (1e-3, 0.05):
+        curve = pseudospectrum(u_perp, step)
+        power = steering_power(u_perp, step)
+        assert np.all(power >= 1e-8)  # no exact peak: compare everywhere
+        np.testing.assert_allclose(1.0 / curve.values, power,
+                                   rtol=1e-9, atol=0)
+
+
+def test_pseudospectrum_positive_at_exact_peaks():
+    # frequencies on the 1e-4 grid: g sits at its roundoff floor there and
+    # comes out negative for some of these subspaces
+    drawn = sample_model(4, 4, seed=37, delta=1.0 / 64)
+    m = PointSourceModel(taus=np.round(drawn.taus * 1e4) / 1e4 % 1.0,
+                         amps=drawn.amps, orients=drawn.orients)
+    X = synthesize_data_matrix(m, 64)
+    on_grid = np.round(m.taus * 1e4).astype(int)
+    for u_perp in (noise_subspace(X, 4, "vhm"),
+                   noise_subspace(X[0], 4, "single"),
+                   noise_subspace(X, 4, "mmv")):
+        values = pseudospectrum(u_perp, GRID_STEP).values
+        assert not np.any(np.isnan(values))
+        assert np.all(values > 0.0)
+        assert np.all(values[on_grid] >= 1e12)
+
+
+def test_peaks_match_steering_oracle_on_criterion_10_instances():
+    # the instances of acceptance criterion 10
+    n, r = 64, 4
+    for trial in range(20):
+        rng = np.random.default_rng(1000 + trial)
+        multi = synthesize_data_matrix(
+            sample_model(r, 4, seed=rng, delta=1.0 / n), n)
+        single = synthesize_data_matrix(
+            sample_model(r, 1, seed=rng, delta=1.0 / n), n)
+        for u_perp in (noise_subspace(multi, r, "vhm"),
+                       noise_subspace(single[0], r, "single"),
+                       noise_subspace(multi, r, "mmv")):
+            curve = pseudospectrum(u_perp, GRID_STEP)
+            with np.errstate(divide="ignore"):
+                oracle = PseudospectrumCurve(
+                    grid=curve.grid,
+                    values=1.0 / steering_power(u_perp, GRID_STEP))
+            np.testing.assert_array_equal(pick_peaks(curve, r).taus,
+                                          pick_peaks(oracle, r).taus)
+
+
 # ---------------------------------------------------------------- peaks
+
+def brute_force_peaks(curve, r):
+    """Reference pick: walk the whole grid in (value descending, tau
+    ascending) order, strict circular maxima first, then the rest."""
+    v, g = curve.values, curve.grid
+    size = v.size
+    order = sorted(range(size), key=lambda k: (-v[k], g[k]))
+    is_max = [v[k] > v[k - 1] and v[k] > v[(k + 1) % size]
+              for k in range(size)]
+    maxima = [k for k in order if is_max[k]]
+    rest = [k for k in order if not is_max[k]]
+    chosen = (maxima + rest)[:r]
+    return g[chosen], len(maxima) < r
+
+
+def test_pick_peaks_matches_full_order_reference():
+    rng = np.random.default_rng(23)
+    for trial in range(200):
+        size = int(rng.integers(3, 60))
+        # few distinct levels, so values tie within and across maxima
+        v = rng.integers(0, 5, size).astype(np.float64)
+        curve = PseudospectrumCurve(grid=uniform_grid(size), values=v)
+        count = int(np.sum((v > np.roll(v, 1)) & (v > np.roll(v, -1))))
+        for r in sorted({1, max(1, count), min(size, count + 1),
+                         min(size, count + 3), size}):
+            got = pick_peaks(curve, r)
+            taus, padded = brute_force_peaks(curve, r)
+            np.testing.assert_array_equal(got.taus, taus)
+            assert got.padded == padded
+
 
 def test_pick_peaks_single_and_tie():
     g = uniform_grid(100)

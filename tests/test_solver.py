@@ -211,6 +211,20 @@ def test_degenerate_fully_constrained():
     np.testing.assert_allclose(full.X_hat, y[None, :], rtol=0, atol=1e-12)
 
 
+def test_single_row_returns_the_feasible_start():
+    # s = 1: every measurement fixes its column, so the start is final
+    rng = np.random.default_rng(np.random.SeedSequence((9001, 32, 1, 4, 1)))
+    model = sample_model(4, 1, seed=rng)
+    B = sample_subspace("gaussian", 32, 1, seed=rng)
+    X = synthesize_data_matrix(model, 32)
+    rep = solve_vhl(apply_measurement(X, B), B, LiftShape.default(32, 1),
+                    keep_history=True)
+    assert rep.iters == 1 and rep.converged
+    assert rep.primal_residual == 0.0 and rep.dual_residual == 0.0
+    assert len(rep.primal_history) == len(rep.dual_history) == 1
+    assert np.linalg.norm(rep.X_hat - X) / np.linalg.norm(X) < 1e-12
+
+
 def test_solver_error_paths():
     shape = LiftShape.default(8, 2)
     B = sample_subspace("gaussian", 8, 2, seed=1).entries.copy()
