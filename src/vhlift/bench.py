@@ -11,11 +11,22 @@ SeedSequence((base_seed, c, t)), and per-trial results land in preallocated
 arrays indexed by (cell, trial) before any reduction, so outputs are
 byte-identical regardless of worker count or scheduling order.  Progress
 lines are emitted in task order for the same reason.
+
+Trials run on a thread pool with BLAS on one thread.  At these matrix sizes
+BLAS threading gains nothing, and worker threads that each wake a BLAS pool
+of nproc threads oversubscribe the cores: at 2 workers on 2 cores that made
+a grid slower than a serial run.  Only speed depends on the BLAS thread
+count; the outputs are the same bytes.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,22 +182,82 @@ def _phase_trial(config: PhaseTransitionConfig, cell: int, params: dict,
         return np.inf
 
 
-def _run_tasks(tasks, runner, workers, progress):
-    """Execute (slot, label) tasks; results are keyed by slot and consumed
-    in task order, so neither the output arrays nor the progress lines
-    depend on scheduling.  Leaving early, on an exception, drops the tasks
-    not yet started."""
-    pool = ThreadPoolExecutor(max_workers=workers)
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy's
+    wheel bundles, or None when there is none (MKL, Accelerate, a source
+    build).  OpenBLAS reads OPENBLAS_NUM_THREADS only while numpy is
+    imported, so a library can change the count only through these."""
+    numpy_dir = os.path.dirname(np.__file__)
+    # Linux wheels: site-packages/numpy.libs; macOS wheels: numpy/.dylibs
+    for libdir in (numpy_dir + ".libs", os.path.join(numpy_dir, ".dylibs")):
+        try:
+            names = sorted(f for f in os.listdir(libdir) if "openblas" in f)
+        except OSError:
+            continue
+        for name in names:
+            try:
+                lib = ctypes.CDLL(os.path.join(libdir, name))
+            except OSError:
+                continue
+            for prefix in ("scipy_openblas", "openblas"):
+                get = getattr(lib, prefix + "_get_num_threads64_", None)
+                put = getattr(lib, prefix + "_set_num_threads64_", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+# harness calls running in this process, and the BLAS thread count from
+# before the first of them; the count is process-wide state
+_pin_lock = threading.Lock()
+_pin = {"calls": 0, "threads": None}
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then restore the
+    count it had before.  The setting is process-wide: while the body runs,
+    BLAS calls from other threads of the process run on one thread too.
+    Without a bundled OpenBLAS this does nothing."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _pin_lock:
+        if _pin["calls"] == 0:
+            _pin["threads"] = get()
+            put(1)
+        _pin["calls"] += 1
     try:
-        futures = [(slot, label, pool.submit(runner, slot))
-                   for slot, label in tasks]
-        for slot, label, fut in futures:
-            value = fut.result()
-            yield slot, value
-            if progress is not None:
-                progress("%s: %.3e" % (label, np.max(value)))
+        yield
     finally:
-        pool.shutdown(cancel_futures=True)
+        with _pin_lock:
+            _pin["calls"] -= 1
+            if _pin["calls"] == 0:
+                put(_pin["threads"])
+
+
+def _run_tasks(tasks, runner, workers, progress):
+    """Execute (slot, label) tasks with BLAS on one thread (see the module
+    docstring); results are keyed by slot and consumed in task order, so
+    neither the output arrays nor the progress lines depend on scheduling.
+    Leaving early, on an exception, drops the tasks not yet started."""
+    with _one_blas_thread():
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            futures = [(slot, label, pool.submit(runner, slot))
+                       for slot, label in tasks]
+            for slot, label, fut in futures:
+                value = fut.result()
+                yield slot, value
+                if progress is not None:
+                    progress("%s: %.3e" % (label, np.max(value)))
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def run_phase_transition(config: PhaseTransitionConfig, workers: int = 1,

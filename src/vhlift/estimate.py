@@ -1,7 +1,8 @@
 """Frequency retrieval and amplitude recovery.
 
 One MUSIC-style noise subspace: the left singular vectors of the transposed
-vectorized Hankel lift of the data rows, beyond the top r.  The estimators
+vectorized Hankel lift of the data rows, beyond the top r, taken as
+eigenvectors of the lift's small Gram matrix.  The estimators
 are lift shapes: "vhm" lifts all (or the first K) rows at the default
 split, "single" lifts one row, and "mmv" lifts all rows at n1 = 1, where the
 lift is the data matrix itself (classical multiple-measurement-vector
@@ -119,9 +120,10 @@ def noise_subspace(X: np.ndarray, r: int, estimator: str,
         raise ValueError("data matrix is zero; its singular subspaces "
                          "are undefined")
     M = vec_hankel(X, shape).T
-    # a thin U of a tall lift would drop noise directions beyond its width
-    U = np.linalg.svd(M, full_matrices=M.shape[0] > M.shape[1])[0]
-    return U[:, r:]
+    # eigenvectors of the n2 x n2 Gram matrix are the left singular vectors
+    # of M, all n2 of them, without M's right singular vectors
+    V = np.linalg.eigh(M @ M.conj().T)[1][:, ::-1]
+    return V[:, r:]
 
 
 def grid_size(step: float) -> int:

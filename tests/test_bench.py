@@ -2,6 +2,8 @@
 full-scale experiment checks live in the acceptance suite)."""
 
 import itertools
+import sys
+import threading
 import time
 import warnings
 
@@ -168,6 +170,81 @@ def test_phase_transition_bugs_propagate(monkeypatch, workers):
     with pytest.raises(TypeError, match="bug"):
         run_phase_transition(small_phase_config(), workers=workers)
     assert next(calls) <= 1 + workers
+
+
+@pytest.fixture
+def blas_threads():
+    """The getter of numpy's OpenBLAS thread count, with the count set to 2
+    for the test, so that a pin to one thread left in place shows."""
+    blas = bench._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    get, put = blas
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+def test_harness_runs_blas_on_one_thread_and_restores(blas_threads,
+                                                     monkeypatch):
+    seen = []
+
+    def progress(line):
+        seen.append(blas_threads())
+
+    run_phase_transition(small_phase_config(trials=1), workers=2,
+                         progress=progress)
+    assert seen == [1] * 4 and blas_threads() == 2
+    run_snr_sweep(small_sweep_config(trials=1), workers=1, progress=progress)
+    assert seen == [1] * 7 and blas_threads() == 2
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(bench, "solve_vhl", broken)
+    with pytest.raises(TypeError, match="bug"):
+        run_phase_transition(small_phase_config(), workers=2)
+    assert blas_threads() == 2
+
+
+def test_concurrent_harness_calls_restore_blas_threads(blas_threads):
+    # every call pins while it runs; the count comes back only after the
+    # last one ends, whatever the interleaving
+    expected = run_snr_sweep(small_sweep_config(trials=1)).errors
+    seen, results = [], []
+
+    def call():
+        for _ in range(3):
+            res = run_snr_sweep(small_sweep_config(trials=1), workers=2,
+                                progress=lambda line: seen.append(
+                                    blas_threads()))
+            results.append(res.errors)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=call) for _ in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(results) == 12 and len(seen) == 12 * 3
+    assert set(seen) == {1} and blas_threads() == 2
+    for errors in results:
+        np.testing.assert_array_equal(errors, expected)
+
+
+def test_harness_without_openblas(monkeypatch):
+    pinned = run_phase_transition(small_phase_config(trials=1),
+                                  workers=2).errors
+    monkeypatch.setattr(bench, "_openblas_threads", lambda: None)
+    unpinned = run_phase_transition(small_phase_config(trials=1),
+                                    workers=2).errors
+    np.testing.assert_array_equal(pinned, unpinned)
 
 
 def test_phase_transition_progress_lines():

@@ -16,6 +16,7 @@ from vhlift.estimate import (
 from vhlift.lift import LiftShape, stacked_hankel, vec_hankel
 from vhlift.model import (
     PointSourceModel,
+    add_noise,
     sample_model,
     sample_subspace,
     steering_matrix,
@@ -99,14 +100,39 @@ def test_mmv_subspace():
 
 
 def test_special_cases_are_lifts():
-    # n1 = 1 is classical MMV MUSIC; "single" is the lift of a 1 x n matrix
+    # n1 = 1 is classical MMV MUSIC, the eigenvectors of the sample
+    # covariance X^T conj(X) in descending order; "single" is the lift of
+    # a 1 x n matrix
     rng = np.random.default_rng(18)
     X = rng.standard_normal((4, 24)) + 1j * rng.standard_normal((4, 24))
     assert np.array_equal(noise_subspace(X, 3, "mmv"),
-                          np.linalg.svd(X.T)[0][:, 3:])
+                          np.linalg.eigh(X.T @ X.conj())[1][:, ::-1][:, 3:])
     row = X[1:2]
     assert np.array_equal(noise_subspace(row, 3, "single"),
                           noise_subspace(row, 3, "vhm:1"))
+
+
+def test_noise_subspace_matches_svd_projector():
+    # oracle: the full left singular vectors of the transposed lift
+    n, s, r = 64, 6, 4
+    lifts = {"vhm:6": lambda X: vec_hankel(X, LiftShape.default(n, s)),
+             "single": lambda X: vec_hankel(X[:1], LiftShape.default(n, 1)),
+             "mmv": lambda X: vec_hankel(X, LiftShape.default(n, s, 1))}
+    for trial in range(5):
+        rng = np.random.default_rng(3000 + trial)
+        X = synthesize_data_matrix(sample_model(r, s, seed=rng,
+                                                delta=1.0 / n), n)
+        for data in (X, add_noise(X, 10.0, seed=rng)):
+            for est, lift in lifts.items():
+                u_perp = noise_subspace(data, r, est)
+                k = u_perp.shape[1]
+                np.testing.assert_allclose(u_perp.conj().T @ u_perp,
+                                           np.eye(k), rtol=0, atol=1e-10)
+                U = np.linalg.svd(lift(data).T)[0][:, r:]
+                assert U.shape == u_perp.shape, est
+                np.testing.assert_allclose(u_perp @ u_perp.conj().T,
+                                           U @ U.conj().T, rtol=0,
+                                           atol=1e-10, err_msg=est)
 
 
 # ---------------------------------------------------------------- curve
