@@ -15,7 +15,6 @@ from .lift import (
 from .model import (
     IncoherenceReport,
     PointSourceModel,
-    SubspaceMatrix,
     VandermondeFactors,
     add_noise,
     apply_measurement,

@@ -12,11 +12,11 @@ arrays indexed by (cell, trial) before any reduction, so outputs are
 byte-identical regardless of worker count or scheduling order.  Progress
 lines are emitted in task order for the same reason.
 
-Trials run on a thread pool with BLAS on one thread.  At these matrix sizes
-BLAS threading gains nothing, and worker threads that each wake a BLAS pool
-of nproc threads oversubscribe the cores: at 2 workers on 2 cores that made
-a grid slower than a serial run.  Only speed depends on the BLAS thread
-count; the outputs are the same bytes.
+Trials run on a thread pool of at most one thread per core, with BLAS on
+one thread.  At these matrix sizes BLAS threading gains nothing, and worker
+threads that each wake a BLAS pool of nproc threads oversubscribe the
+cores: at 2 workers on 2 cores that made a grid slower than a serial run.
+Only speed depends on the thread counts; the outputs are the same bytes.
 """
 
 from __future__ import annotations
@@ -138,10 +138,14 @@ class PhaseTransitionConfig:
             raise ValueError("need at least one trial per cell")
         if not self.threshold > 0:
             raise ValueError("threshold must be positive")
-        axes = {self.axis1_name: self.axis1_values,
-                self.axis2_name: self.axis2_values}
-        min_separation(max(axes["r"]) if "r" in axes else self.fixed["r"],
-                       self.delta)
+        values = {name: (v,) for name, v in self.fixed.items()}
+        values.update({self.axis1_name: self.axis1_values,
+                       self.axis2_name: self.axis2_values})
+        min_separation(max(values["r"]), self.delta)
+        s_max, n_min = max(values["s"]), min(values["n"])
+        if s_max > n_min:
+            raise ValueError("a cell with s=%d > n=%d has no n x s sensing "
+                             "matrix; every cell needs n >= s" % (s_max, n_min))
 
     def cell_params(self, i: int, j: int) -> dict:
         p = dict(self.fixed)
@@ -242,10 +246,12 @@ def _one_blas_thread():
 
 
 def _run_tasks(tasks, runner, workers, progress):
-    """Execute (slot, label) tasks with BLAS on one thread (see the module
+    """Execute (slot, label) tasks on at most `workers` threads, and never
+    more than the core count, with BLAS on one thread (see the module
     docstring); results are keyed by slot and consumed in task order, so
     neither the output arrays nor the progress lines depend on scheduling.
     Leaving early, on an exception, drops the tasks not yet started."""
+    workers = min(workers, os.cpu_count() or 1)
     with _one_blas_thread():
         pool = ThreadPoolExecutor(max_workers=workers)
         try:

@@ -279,33 +279,33 @@ def cmd_synth(opts) -> int:
     if n < s:
         raise CliError("need n >= s, got n=%d s=%d" % (n, s))
     seed = int(opts["seed"])
+    distribution = str(opts["distribution"]).lower()
     rng = np.random.default_rng(seed)
     model = sample_model(r, s, seed=rng, delta=_maybe_float(opts, "delta"),
                          orient_law=str(opts["orient_law"]))
-    subspace = sample_subspace(str(opts["distribution"]), n, s, seed=rng)
-    subspace.seed = seed
+    B = sample_subspace(distribution, n, s, seed=rng)
     X = synthesize_data_matrix(model, n)
-    y = apply_measurement(X, subspace)
+    y = apply_measurement(X, B)
     snr = _maybe_float(opts, "snr")
     X_out = X if snr is None else add_noise(X, snr, seed=rng)
     diag = incoherence_diagnostic(model, LiftShape.default(n, s))
-    save_problem(_out(opts, "model.json"), model, subspace)
+    save_problem(_out(opts, "model.json"), model, B, distribution, seed)
     io.write_complex_matrix_csv(_out(opts, "X.csv"), X_out)
     io.write_complex_vector_csv(_out(opts, "y.csv"), y)
     print("synth: n=%d s=%d r=%d dist=%s mu1=%.4g -> model.json X.csv y.csv"
-          % (n, s, r, subspace.distribution, diag.mu1))
+          % (n, s, r, distribution, diag.mu1))
     return EXIT_OK
 
 
 def cmd_solve(opts) -> int:
-    _, subspace = load_problem(opts["model"])
+    _, B = load_problem(opts["model"])
+    n, s = B.shape
     y = io.read_complex_vector_csv(opts["y"])
-    if y.shape[0] != subspace.n:
+    if y.shape[0] != n:
         raise CliError("measurement length %d does not match the sensing "
-                       "matrix (%d rows)" % (y.shape[0], subspace.n))
-    shape = LiftShape.default(subspace.n, subspace.s, _maybe_int(opts, "n1"))
-    report = solve_vhl(y, subspace, shape,
-                       SolverConfig(**_fields(opts, SOLVER)))
+                       "matrix (%d rows)" % (y.shape[0], n))
+    shape = LiftShape.default(n, s, _maybe_int(opts, "n1"))
+    report = solve_vhl(y, B, shape, SolverConfig(**_fields(opts, SOLVER)))
     save_report(_out(opts, "report.json"), report)
     io.write_complex_matrix_csv(_out(opts, "Xhat.csv"), report.X_hat)
     print("solve: %s in %d iters, primal %.3e, dual %.3e, nuclear norm %.6g"

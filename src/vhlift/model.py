@@ -23,7 +23,6 @@ from .lift import LiftShape
 
 __all__ = [
     "PointSourceModel",
-    "SubspaceMatrix",
     "VandermondeFactors",
     "IncoherenceReport",
     "steering_matrix",
@@ -39,8 +38,6 @@ __all__ = [
     "add_noise",
     "incoherence_diagnostic",
     "wraparound_gap",
-    "problem_to_dict",
-    "problem_from_dict",
     "save_problem",
     "load_problem",
 ]
@@ -82,26 +79,6 @@ class PointSourceModel:
     @property
     def s(self) -> int:
         return self.orients.shape[0]
-
-
-@dataclass
-class SubspaceMatrix:
-    """Known n x s sensing matrix; row j defines the j-th measurement."""
-
-    entries: np.ndarray
-    distribution: str
-    seed: int | None = None
-
-    def __post_init__(self):
-        self.entries = np.atleast_2d(np.asarray(self.entries, dtype=np.complex128))
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def s(self) -> int:
-        return self.entries.shape[1]
 
 
 @dataclass
@@ -201,8 +178,8 @@ def sample_model(r: int, s: int, seed=None, delta: float | None = None,
 
 
 def sample_subspace(distribution: str, n: int, s: int,
-                    seed=None) -> SubspaceMatrix:
-    """Draw an n x s sensing matrix with isotropic rows E[b b*] = I_s.
+                    seed=None) -> np.ndarray:
+    """Draw an n x s complex sensing matrix with isotropic rows E[b b*] = I_s.
 
     Supported distributions: "gaussian" (real standard normal entries),
     "rademacher" (+-1 equiprobable), "dftrows" (rows picked uniformly with
@@ -214,17 +191,13 @@ def sample_subspace(distribution: str, n: int, s: int,
     tag = distribution.lower()
     rng = np.random.default_rng(seed)
     if tag == "gaussian":
-        Bm = rng.standard_normal((n, s)).astype(np.complex128)
-    elif tag == "rademacher":
-        Bm = (2.0 * rng.integers(0, 2, size=(n, s)) - 1.0).astype(np.complex128)
-    elif tag == "dftrows":
+        return rng.standard_normal((n, s)).astype(np.complex128)
+    if tag == "rademacher":
+        return (2.0 * rng.integers(0, 2, size=(n, s)) - 1.0).astype(np.complex128)
+    if tag == "dftrows":
         p = rng.integers(0, n, size=n)
-        Bm = np.exp(-2j * np.pi * np.outer(p, np.arange(s)) / n)
-    else:
-        raise ValueError("unsupported distribution %r" % (distribution,))
-    stored = seed if isinstance(seed, (int, np.integer)) else None
-    return SubspaceMatrix(entries=Bm, distribution=tag,
-                          seed=None if stored is None else int(stored))
+        return np.exp(-2j * np.pi * np.outer(p, np.arange(s)) / n)
+    raise ValueError("unsupported distribution %r" % (distribution,))
 
 
 def synthesize_data_matrix(model: PointSourceModel, n: int) -> np.ndarray:
@@ -233,26 +206,22 @@ def synthesize_data_matrix(model: PointSourceModel, n: int) -> np.ndarray:
     return (model.orients * model.amps) @ A.T
 
 
-def _sensing_entries(B) -> np.ndarray:
-    return B.entries if isinstance(B, SubspaceMatrix) else np.asarray(B)
-
-
-def apply_measurement(X: np.ndarray, B) -> np.ndarray:
-    """y[j] = B[j, :] X[:, j], length n."""
-    Bm = _sensing_entries(B)
+def apply_measurement(X: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """y[j] = B[j, :] X[:, j], length n, for the n x s sensing matrix B."""
+    B = np.asarray(B)
     X = np.asarray(X)
-    if X.shape != (Bm.shape[1], Bm.shape[0]):
+    if X.shape != (B.shape[1], B.shape[0]):
         raise ValueError("data matrix must be s x n matching the sensing matrix")
-    return np.einsum("jl,lj->j", Bm, X)
+    return np.einsum("jl,lj->j", B, X)
 
 
-def apply_measurement_adjoint(y: np.ndarray, B) -> np.ndarray:
+def apply_measurement_adjoint(y: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Adjoint of apply_measurement: column j of the result is y[j] conj(B[j, :])."""
-    Bm = _sensing_entries(B)
+    B = np.asarray(B)
     y = np.asarray(y).ravel()
-    if y.shape[0] != Bm.shape[0]:
+    if y.shape[0] != B.shape[0]:
         raise ValueError("measurement length must match the sensing matrix rows")
-    return (np.conj(Bm) * y[:, None]).T
+    return (np.conj(B) * y[:, None]).T
 
 
 def build_vandermonde_factors(model: PointSourceModel,
@@ -324,41 +293,27 @@ def incoherence_diagnostic(model: PointSourceModel,
 
 # ----------------------------------------------------------- serialization
 
-def problem_to_dict(model: PointSourceModel, subspace: SubspaceMatrix) -> dict:
-    return {
-        "n": subspace.n,
-        "s": subspace.s,
+def save_problem(path, model: PointSourceModel, B: np.ndarray,
+                 distribution: str, seed: int | None) -> None:
+    """Write the model and the n x s sensing matrix B, with the law and
+    seed B was drawn from as provenance (never read back)."""
+    n, s = B.shape
+    io.write_json(path, {
+        "n": n,
+        "s": s,
         "r": model.r,
         "taus": [float(t) for t in model.taus],
         "amps": io.complex_to_pairs(model.amps),
         "orients": io.complex_to_pairs(model.orients),
-        "B": io.complex_to_pairs(subspace.entries),
-        "distribution": subspace.distribution,
-        "seed": subspace.seed,
-    }
+        "B": io.complex_to_pairs(B),
+        "distribution": distribution,
+        "seed": seed,
+    })
 
 
-def problem_from_dict(doc: dict) -> tuple[PointSourceModel, SubspaceMatrix]:
-    n, s, r = int(doc["n"]), int(doc["s"]), int(doc["r"])
-    model = PointSourceModel(
-        taus=np.asarray(doc["taus"], dtype=np.float64),
-        amps=io.pairs_to_complex(doc["amps"], r, 1).ravel(),
-        orients=io.pairs_to_complex(doc["orients"], s, r),
-    )
-    subspace = SubspaceMatrix(
-        entries=io.pairs_to_complex(doc["B"], n, s),
-        distribution=str(doc["distribution"]),
-        seed=None if doc.get("seed") is None else int(doc["seed"]),
-    )
-    return model, subspace
-
-
-def save_problem(path, model: PointSourceModel, subspace: SubspaceMatrix) -> None:
-    io.write_json(path, problem_to_dict(model, subspace))
-
-
-def load_problem(path) -> tuple[PointSourceModel, SubspaceMatrix]:
-    """Read a problem file, rejecting any non-finite number in it."""
+def load_problem(path) -> tuple[PointSourceModel, np.ndarray]:
+    """Read a problem file as (model, B), rejecting any non-finite number
+    in it."""
     def finite(text):
         value = float(text)
         if not np.isfinite(value):
@@ -366,5 +321,11 @@ def load_problem(path) -> tuple[PointSourceModel, SubspaceMatrix]:
         return value
 
     with open(path) as fh:
-        return problem_from_dict(json.load(fh, parse_float=finite,
-                                           parse_constant=finite))
+        doc = json.load(fh, parse_float=finite, parse_constant=finite)
+    n, s, r = int(doc["n"]), int(doc["s"]), int(doc["r"])
+    model = PointSourceModel(
+        taus=np.asarray(doc["taus"], dtype=np.float64),
+        amps=io.pairs_to_complex(doc["amps"], r, 1).ravel(),
+        orients=io.pairs_to_complex(doc["orients"], s, r),
+    )
+    return model, io.pairs_to_complex(doc["B"], n, s)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import io
 from .lift import LiftShape, hankel_weights, vec_hankel, vec_hankel_adjoint
-from .model import SubspaceMatrix, apply_measurement, apply_measurement_adjoint
+from .model import apply_measurement, apply_measurement_adjoint
 
 __all__ = [
     "SolverConfig",
@@ -63,6 +63,8 @@ class SolverConfig:
             raise ValueError("tol_rel must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        if self.svt_rank_cap is not None and self.svt_rank_cap < 0:
+            raise ValueError("svt_rank_cap must be nonnegative")
 
 
 @dataclass
@@ -112,7 +114,7 @@ def nuclear_norm(M: np.ndarray) -> float:
     return float(np.linalg.svd(M, compute_uv=False).sum())
 
 
-def solve_vhl(y: np.ndarray, B, shape: LiftShape,
+def solve_vhl(y: np.ndarray, B: np.ndarray, shape: LiftShape,
               config: SolverConfig | None = None,
               keep_history: bool = False) -> SolveReport:
     """Recover the data matrix from scalar measurements by ADMM.
@@ -127,13 +129,13 @@ def solve_vhl(y: np.ndarray, B, shape: LiftShape,
     """
     if config is None:
         config = SolverConfig()
-    Bm = B.entries if isinstance(B, SubspaceMatrix) else np.asarray(B, dtype=np.complex128)
+    B = np.asarray(B, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128).ravel()
-    if Bm.shape != (shape.n, shape.s):
+    if B.shape != (shape.n, shape.s):
         raise ValueError("sensing matrix must be n x s for the given shape")
     if y.shape[0] != shape.n:
         raise ValueError("measurement vector must have length n")
-    row_sq = np.sum(np.abs(Bm) ** 2, axis=1)
+    row_sq = np.sum(np.abs(B) ** 2, axis=1)
     if np.any(row_sq == 0.0):
         raise ValueError("sensing matrix has a zero row; that measurement "
                          "constrains nothing")
@@ -149,8 +151,8 @@ def solve_vhl(y: np.ndarray, B, shape: LiftShape,
 
     def project_feasible(M):
         # rank-one correction per column: enforce B[j,:] x_j = y[j]
-        resid = y - apply_measurement(M, Bm)
-        return M + apply_measurement_adjoint(resid / row_sq, Bm)
+        resid = y - apply_measurement(M, B)
+        return M + apply_measurement_adjoint(resid / row_sq, B)
 
     # least-norm feasible start
     X = project_feasible(np.zeros((shape.s, shape.n), dtype=np.complex128))

@@ -171,8 +171,8 @@ def test_criterion_05_exact_recovery_instance():
     g_err = 0.0
     amp_err = 0.0
     for k in range(r):
-        g_hat = B.entries @ src.orients_hat[:, k]
-        g_true = B.entries @ model.orients[:, k]
+        g_hat = B @ src.orients_hat[:, k]
+        g_true = B @ model.orients[:, k]
         phase = np.vdot(g_hat, g_true)
         phase /= abs(phase)
         g_err = max(g_err, np.linalg.norm(g_hat * phase - g_true)

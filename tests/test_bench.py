@@ -118,6 +118,12 @@ def test_phase_config_validation():
         small_phase_config(axis1_name="n", axis1_values=(16,),
                            fixed={"r": 2}, delta=0.6)
     small_phase_config(delta=0.5)
+    # every cell needs n >= s, with s or n on an axis or fixed
+    with pytest.raises(ValueError, match="a cell with s=2 > n=1 has no"):
+        small_phase_config(axis1_name="n", axis1_values=(1, 16),
+                           fixed={"r": 1})
+    with pytest.raises(ValueError, match="a cell with s=32 > n=16 has no"):
+        small_phase_config(axis2_values=(1, 32))
 
 
 def test_phase_transition_easy_cells_and_determinism(tmp_path):
@@ -245,6 +251,22 @@ def test_harness_without_openblas(monkeypatch):
     unpinned = run_phase_transition(small_phase_config(trials=1),
                                     workers=2).errors
     np.testing.assert_array_equal(pinned, unpinned)
+
+
+def test_harness_threads_capped_at_core_count(monkeypatch):
+    # the pool starts a thread per submitted task up to its size, so the
+    # size is capped at the core count, whatever `workers` asks for
+    cfg = SweepConfig(n=16, s=2, r=2, snr_db=(20.0,), estimators=("vhm:1",),
+                      trials=8, grid_step=1e-2)
+    serial = run_snr_sweep(cfg).errors
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: 2)
+    baseline = threading.active_count()
+    live = []
+    res = run_snr_sweep(cfg, workers=8,
+                        progress=lambda line: live.append(
+                            threading.active_count()))
+    assert len(live) == 8 and max(live) <= baseline + 2
+    np.testing.assert_array_equal(res.errors, serial)
 
 
 def test_phase_transition_progress_lines():

@@ -107,21 +107,22 @@ def test_synth_matches_library_calls(tmp_path):
     # the CLI is a thin adapter: same seed path, same files
     rng = np.random.default_rng(7)
     model = sample_model(4, 3, seed=rng)
-    subspace = sample_subspace("gaussian", 64, 3, seed=rng)
+    B = sample_subspace("gaussian", 64, 3, seed=rng)
     X = synthesize_data_matrix(model, 64)
     io.write_complex_matrix_csv(d2 / "X.csv", X)
-    io.write_complex_vector_csv(d2 / "y.csv", apply_measurement(X, subspace))
+    io.write_complex_vector_csv(d2 / "y.csv", apply_measurement(X, B))
     assert (d1 / "X.csv").read_bytes() == (d2 / "X.csv").read_bytes()
     assert (d1 / "y.csv").read_bytes() == (d2 / "y.csv").read_bytes()
-    saved_model, saved_subspace = load_problem(d1 / "model.json")
+    saved_model, saved_B = load_problem(d1 / "model.json")
     assert np.array_equal(saved_model.taus, model.taus)
-    assert np.array_equal(saved_subspace.entries, subspace.entries)
-    assert saved_subspace.seed == 7
+    assert np.array_equal(saved_B, B)
+    doc = json.loads((d1 / "model.json").read_text())
+    assert doc["distribution"] == "gaussian" and doc["seed"] == 7
 
 
 def test_synth_noise_flag_perturbs_x_only(tmp_path):
     model_path, x_path, y_path = synth_files(tmp_path, "--snr", 20)
-    model, subspace = load_problem(model_path)
+    model, B = load_problem(model_path)
     X_clean = synthesize_data_matrix(model, 64)
     X_noisy = io.read_complex_matrix_csv(x_path)
     assert not np.array_equal(X_noisy, X_clean)
@@ -129,7 +130,7 @@ def test_synth_noise_flag_perturbs_x_only(tmp_path):
     assert 0.01 < rel < 1.0
     # y stays the clean measurement of the synthesized matrix
     y = io.read_complex_vector_csv(y_path)
-    assert np.allclose(y, apply_measurement(X_clean, subspace), atol=1e-12)
+    assert np.allclose(y, apply_measurement(X_clean, B), atol=1e-12)
 
 
 def test_synth_validation_exit_codes(tmp_path, capsys):
@@ -359,6 +360,21 @@ def test_phase_transition_infeasible_separation(tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+def test_phase_transition_rejects_s_above_n(tmp_path, capsys):
+    # a cell with s > n has no sensing matrix; it is an input error, not
+    # a failed recovery, whether s or n is on an axis or fixed
+    out = tmp_path / "out"
+    out.mkdir()
+    for argv in (("--values1", 1, "--values2", 8, "--fixed", "n=4"),
+                 ("--axis1", "n", "--values1", "4,16", "--axis2", "r",
+                  "--values2", 1, "--fixed", "s=8")):
+        assert run_cli("phase-transition", *argv, "--trials", 2,
+                       "--out-dir", out) == 2
+        assert capsys.readouterr().err == "error: a cell with s=8 > n=4 " \
+            "has no n x s sensing matrix; every cell needs n >= s\n"
+        assert not any(out.iterdir())  # no trial ran
+
+
 def test_non_finite_snr_and_delta_rejected(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
@@ -444,10 +460,10 @@ def test_config_file_precedence(tmp_path):
     cfg.write_text(json.dumps({"n": 24, "s": 2, "r": 2, "seed": 9}))
     assert run_cli("synth", "--config", cfg, "--r", 1,
                    "--out-dir", tmp_path) == 0
-    model, subspace = load_problem(tmp_path / "model.json")
-    assert subspace.n == 24 and model.s == 2
+    model, B = load_problem(tmp_path / "model.json")
+    assert B.shape == (24, 2) and model.s == 2
     assert model.r == 1  # flag beats config
-    assert subspace.seed == 9
+    assert json.loads((tmp_path / "model.json").read_text())["seed"] == 9
 
 
 def test_config_file_errors(tmp_path, capsys):

@@ -313,8 +313,8 @@ def test_recover_psf_up_to_phase():
     X = synthesize_data_matrix(m, 32)
     src = recover_amplitudes(X, m.taus)
     for k in range(3):
-        g_true = B.entries @ m.orients[:, k]
-        g_hat = B.entries @ src.orients_hat[:, k]
+        g_true = B @ m.orients[:, k]
+        g_hat = B @ src.orients_hat[:, k]
         phase = np.vdot(g_hat, g_true)
         phase /= abs(phase)
         assert np.linalg.norm(g_true - phase * g_hat) < 1e-8 * np.linalg.norm(g_true)

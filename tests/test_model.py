@@ -15,8 +15,6 @@ from vhlift.model import (
     incoherence_diagnostic,
     add_noise,
     noise_sigma,
-    problem_from_dict,
-    problem_to_dict,
     load_problem,
     sample_model,
     sample_subspace,
@@ -99,15 +97,16 @@ def test_sample_model_bernoulli_orientations():
 
 def test_sample_subspace_distributions():
     B = sample_subspace("rademacher", 64, 4, seed=0)
-    assert np.max(np.abs(B.entries) ** 2) == 1.0
-    assert np.min(np.abs(B.entries) ** 2) == 1.0
-    assert np.all(B.entries.imag == 0.0)
+    assert B.shape == (64, 4) and B.dtype == np.complex128
+    assert np.max(np.abs(B) ** 2) == 1.0
+    assert np.min(np.abs(B) ** 2) == 1.0
+    assert np.all(B.imag == 0.0)
 
     Bd = sample_subspace("dftrows", 64, 4, seed=1)
-    np.testing.assert_allclose(np.abs(Bd.entries) ** 2, 1.0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(np.abs(Bd) ** 2, 1.0, rtol=0, atol=1e-14)
 
     Bg = sample_subspace("gaussian", 64, 4, seed=2)
-    assert np.all(Bg.entries.imag == 0.0)
+    assert np.all(Bg.imag == 0.0)
 
     with pytest.raises(ValueError):
         sample_subspace("uniform", 8, 2, seed=0)
@@ -118,7 +117,7 @@ def test_sample_subspace_distributions():
 def test_subspace_isotropy_monte_carlo():
     # empirical E[b b*] over 1e4 rows vs identity, all three laws
     for dist in ("gaussian", "rademacher", "dftrows"):
-        B = sample_subspace(dist, 10000, 3, seed=7).entries
+        B = sample_subspace(dist, 10000, 3, seed=7)
         C = B.conj().T @ B / B.shape[0]
         assert np.max(np.abs(C - np.eye(3))) < 0.05, dist
 
@@ -178,7 +177,7 @@ def test_measurement_adjointness_and_composition():
             assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(X) * np.linalg.norm(y)
             # composition scales each entry by the squared row norm
             comp = apply_measurement(apply_measurement_adjoint(y, B), B)
-            row_sq = np.sum(np.abs(B.entries) ** 2, axis=1)
+            row_sq = np.sum(np.abs(B) ** 2, axis=1)
             np.testing.assert_allclose(comp, row_sq * y, rtol=1e-12, atol=1e-12)
 
 
@@ -191,7 +190,7 @@ def test_measurement_matches_modulation_formula():
     j = np.arange(32)
     direct = np.zeros(32, dtype=complex)
     for k in range(m.r):
-        g_k = B.entries @ m.orients[:, k]
+        g_k = B @ m.orients[:, k]
         direct += m.amps[k] * np.exp(-2j * np.pi * m.taus[k] * j) * g_k
     np.testing.assert_allclose(y, direct, rtol=1e-12, atol=1e-12)
 
@@ -304,21 +303,19 @@ def test_incoherence_close_and_coincident():
 def test_problem_json_round_trip(tmp_path):
     m = sample_model(3, 4, seed=42)
     B = sample_subspace("dftrows", 24, 4, seed=43)
-    doc = problem_to_dict(m, B)
-    text = json.dumps(doc)
-    m2, B2 = problem_from_dict(json.loads(text))
+    path = tmp_path / "problem.json"
+    save_problem(path, m, B, "dftrows", 43)
+    doc = json.loads(path.read_text())
+    assert list(doc) == ["n", "s", "r", "taus", "amps", "orients", "B",
+                         "distribution", "seed"]
+    assert (doc["n"], doc["s"], doc["r"]) == (24, 4, 3)
+    assert doc["distribution"] == "dftrows" and doc["seed"] == 43
+    m2, B2 = load_problem(path)
     np.testing.assert_array_equal(m.taus, m2.taus)
     np.testing.assert_array_equal(m.amps, m2.amps)
     np.testing.assert_array_equal(m.orients, m2.orients)
-    np.testing.assert_array_equal(B.entries, B2.entries)
-    assert B2.distribution == "dftrows" and B2.seed == 43
-
-    path = tmp_path / "problem.json"
-    save_problem(path, m, B)
-    m3, B3 = load_problem(path)
-    np.testing.assert_array_equal(m.orients, m3.orients)
-    np.testing.assert_array_equal(B.entries, B3.entries)
+    np.testing.assert_array_equal(B, B2)
     # serialization is deterministic byte for byte
     first = path.read_bytes()
-    save_problem(path, m3, B3)
+    save_problem(path, m2, B2, "dftrows", 43)
     assert path.read_bytes() == first

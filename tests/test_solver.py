@@ -119,6 +119,11 @@ def test_config_validation():
         SolverConfig(tol_rel=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
+    # rejected when the config is built, not inside every harness trial,
+    # where svt's ValueError would count as a failed recovery
+    with pytest.raises(ValueError, match="svt_rank_cap must be nonnegative"):
+        SolverConfig(svt_rank_cap=-1)
+    assert SolverConfig(svt_rank_cap=0).svt_rank_cap == 0
 
 
 # ---------------------------------------------------------------- solve
@@ -227,7 +232,7 @@ def test_single_row_returns_the_feasible_start():
 
 def test_solver_error_paths():
     shape = LiftShape.default(8, 2)
-    B = sample_subspace("gaussian", 8, 2, seed=1).entries.copy()
+    B = sample_subspace("gaussian", 8, 2, seed=1)
     B[3, :] = 0.0
     with pytest.raises(ValueError):
         solve_vhl(np.zeros(8), B, shape)
