@@ -44,6 +44,8 @@ from .lift import LiftShape
 from .model import (
     add_noise,
     apply_measurement,
+    check_distribution,
+    check_orient_law,
     check_snr,
     min_separation,
     sample_model,
@@ -138,6 +140,8 @@ class PhaseTransitionConfig:
             raise ValueError("need at least one trial per cell")
         if not self.threshold > 0:
             raise ValueError("threshold must be positive")
+        check_distribution(self.distribution)
+        check_orient_law(self.orient_law)
         values = {name: (v,) for name, v in self.fixed.items()}
         values.update({self.axis1_name: self.axis1_values,
                        self.axis2_name: self.axis2_values})
@@ -172,16 +176,18 @@ def _phase_trial(config: PhaseTransitionConfig, cell: int, params: dict,
     rng = np.random.default_rng(
         np.random.SeedSequence((config.base_seed, cell, t)))
     n, r, s = params["n"], params["r"], params["s"]
+    # the config is validated, so drawing the instance cannot fail; an
+    # error here is a bug and propagates
+    model = sample_model(r, s, seed=rng, delta=config.delta,
+                         orient_law=config.orient_law)
+    B = sample_subspace(config.distribution, n, s, seed=rng)
+    X = synthesize_data_matrix(model, n)
+    y = apply_measurement(X, B)
     try:
-        model = sample_model(r, s, seed=rng, delta=config.delta,
-                             orient_law=config.orient_law)
-        B = sample_subspace(config.distribution, n, s, seed=rng)
-        X = synthesize_data_matrix(model, n)
-        y = apply_measurement(X, B)
         rep = solve_vhl(y, B, LiftShape.default(n, s), config.solver)
         return relative_error(rep.X_hat, X)
     except (ValueError, ArithmeticError):
-        # a failed trial is a non-success, never a dead grid; other
+        # a failed solve is a non-success, never a dead grid; other
         # exceptions are bugs and propagate
         return np.inf
 
@@ -326,6 +332,7 @@ class SweepConfig:
             raise ValueError("need at least one SNR level and one estimator")
         if self.metric not in ("plain", "wraparound"):
             raise ValueError("metric must be 'plain' or 'wraparound'")
+        check_orient_law(self.orient_law)
         min_separation(self.r, self.delta)
         grid_size(self.grid_step)
         for est in self.estimators:

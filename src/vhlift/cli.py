@@ -13,6 +13,7 @@ success, 2 usage or validation problem, 3 solver hit the iteration cap,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -42,6 +43,8 @@ from .estimate import (
 from .figures import curve_svg
 from .lift import LiftShape
 from .model import (
+    DISTRIBUTIONS,
+    ORIENT_LAWS,
     add_noise,
     apply_measurement,
     incoherence_diagnostic,
@@ -128,6 +131,16 @@ _maybe_count = _optional(_positive_int)
 NULLABLE = (_maybe_int, _maybe_float, _maybe_count)  # parses that read null
 
 
+def _check_out_dir(opts) -> None:
+    """Fail before any work is done, not when the first output is written."""
+    path = opts["out_dir"]
+    if not isinstance(path, str):
+        raise CliError("out_dir must be a string")
+    if not os.path.isdir(path):
+        code = errno.ENOTDIR if os.path.exists(path) else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+
+
 def _out(opts, name: str) -> str:
     return os.path.join(opts["out_dir"], name)
 
@@ -182,9 +195,6 @@ def _merged(args, table) -> dict:
             raise CliError("config key %s must not be null" % o.key)
     return opts
 
-
-DISTRIBUTIONS = ("gaussian", "rademacher", "dftrows")
-ORIENT_LAWS = ("gaussian", "bernoulli")
 
 OUT_DIR = Opt("out_dir", ".", help="directory for output files (default .)")
 
@@ -419,7 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(_merged(args, args.table))
+        opts = _merged(args, args.table)
+        _check_out_dir(opts)
+        return args.func(opts)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code

@@ -141,17 +141,20 @@ def curve_svg(grid, values, peaks, title="pseudospectrum") -> str:
     def xpos(t):
         return x0 + w * t
 
-    def ypos(v):
-        lv = np.log10(max(v, 1e-12)) if np.isfinite(v) else hi
-        lv = min(max(lv, lo), hi)
-        return y0 + h * (hi - lv) / (hi - lo)
-
     parts = _header(title)
     parts.append('<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '
                  'fill="none" stroke="#000000"/>' % (x0, y0, w, h))
     stride = max(1, int(np.ceil(grid.size / 2000.0)))
-    pts = " ".join("%.2f,%.2f" % (xpos(grid[i]), ypos(values[i]))
-                   for i in range(0, grid.size, stride))
+    v = values[::stride]
+    # log10 of max(v, 1e-12), the top of the axis for inf and nan, clipped
+    # to the axis
+    lv = np.full(v.shape, hi)
+    finite = np.isfinite(v)
+    lv[finite] = np.log10(np.maximum(v[finite], 1e-12))
+    lv = np.clip(lv, lo, hi)
+    ys = y0 + h * (hi - lv) / (hi - lo)
+    pts = " ".join(map("%.2f,%.2f".__mod__,
+                       zip(xpos(grid[::stride]).tolist(), ys.tolist())))
     parts.append('<polyline points="%s" fill="none" stroke="#4c72b0" '
                  'stroke-width="1"/>' % pts)
     for t in np.asarray(peaks, dtype=np.float64):

@@ -10,6 +10,7 @@ variant (a row permutation of the block lift).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,19 @@ def _check_data(X, shape):
     return X
 
 
+@functools.lru_cache(maxsize=32)
+def _gather_index(shape: LiftShape) -> np.ndarray:
+    """Flat indices into an s x n matrix for its lift: row j*s + l, column
+    k reads X[l, j + k].  Cached per shape and read-only, since every
+    caller of that shape shares it."""
+    j = np.arange(shape.n1)[:, None, None]
+    l = np.arange(shape.s)[None, :, None]
+    k = np.arange(shape.n2)[None, None, :]
+    idx = (l * shape.n + j + k).reshape(shape.s * shape.n1, shape.n2)
+    idx.flags.writeable = False
+    return idx
+
+
 def vec_hankel(X: np.ndarray, shape: LiftShape) -> np.ndarray:
     """Lift an s x n matrix to the (s*n1) x n2 block-Hankel matrix.
 
@@ -74,9 +88,7 @@ def vec_hankel(X: np.ndarray, shape: LiftShape) -> np.ndarray:
     j + k of X.
     """
     X = _check_data(X, shape)
-    idx = np.arange(shape.n1)[:, None] + np.arange(shape.n2)[None, :]
-    blocks = X[:, idx]  # (s, n1, n2)
-    return blocks.transpose(1, 0, 2).reshape(shape.s * shape.n1, shape.n2)
+    return X.ravel().take(_gather_index(shape))
 
 
 def _check_lifted(Z, shape):
@@ -96,9 +108,8 @@ def vec_hankel_adjoint(Z: np.ndarray, shape: LiftShape) -> np.ndarray:
     # sum over j in order, as a loop of += over j would
     spread = np.zeros((shape.s, shape.n1, shape.n), dtype=dtype)
     st0, st1, st2 = spread.strides
-    sheared = np.lib.stride_tricks.as_strided(
-        spread, shape=(shape.s, shape.n1, shape.n2),
-        strides=(st0, st1 + st2, st2))
+    sheared = np.ndarray((shape.s, shape.n1, shape.n2), dtype=dtype,
+                         buffer=spread, strides=(st0, st1 + st2, st2))
     sheared[...] = blocks.transpose(1, 0, 2)
     return spread.sum(axis=1)
 

@@ -34,6 +34,8 @@ __all__ = [
     "apply_measurement_adjoint",
     "build_vandermonde_factors",
     "noise_sigma",
+    "check_distribution",
+    "check_orient_law",
     "check_snr",
     "add_noise",
     "incoherence_diagnostic",
@@ -139,6 +141,22 @@ def min_separation(r: int, delta: float | None) -> float:
     return gap
 
 
+DISTRIBUTIONS = ("gaussian", "rademacher", "dftrows")  # any letter case
+ORIENT_LAWS = ("gaussian", "bernoulli")
+
+
+def check_distribution(distribution) -> None:
+    if str(distribution).lower() not in DISTRIBUTIONS:
+        raise ValueError("distribution must be one of %s, got %r"
+                         % (", ".join(DISTRIBUTIONS), distribution))
+
+
+def check_orient_law(orient_law) -> None:
+    if orient_law not in ORIENT_LAWS:
+        raise ValueError("orient_law must be 'gaussian' or 'bernoulli', "
+                         "got %r" % (orient_law,))
+
+
 def sample_model(r: int, s: int, seed=None, delta: float | None = None,
                  orient_law: str = "gaussian") -> PointSourceModel:
     """Draw a random r-source model with s-dimensional orientations.
@@ -154,8 +172,7 @@ def sample_model(r: int, s: int, seed=None, delta: float | None = None,
     """
     if r < 1 or s < 1:
         raise ValueError("need r >= 1 and s >= 1")
-    if orient_law not in ("gaussian", "bernoulli"):
-        raise ValueError("orient_law must be 'gaussian' or 'bernoulli'")
+    check_orient_law(orient_law)
     min_gap = min_separation(r, delta)
     rng = np.random.default_rng(seed)
     for _ in range(1000):

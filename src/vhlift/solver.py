@@ -5,16 +5,19 @@ The program is
     minimize ||vec_hankel(X)||_*   subject to   B[j, :] X[:, j] = y[j]
 
 solved by ADMM on the splitting min_{X, Z} ||Z||_* s.t. Z = vec_hankel(X)
-with the affine measurement constraint folded into the X-update.  Because
-the adjoint-lift composition is a diagonal column weighting, the X-update
-has a per-column closed form: the unconstrained minimizer of
-||(Z + Lam/rho) - vec_hankel(X)||_F^2 is m_j = adjoint(Z + Lam/rho)_j / w_j,
-and re-imposing the scalar constraint on column j is a rank-one Euclidean
-projection.  The Z-update is singular value thresholding at 1/rho, taken
-from the eigendecomposition of the Gram matrix on the smaller side of the
-lift (n2 x n2 for the tall lifts of s >= 2), and the dual update is
-Lam <- Lam + rho (Z - vec_hankel(X)) (unscaled dual; the quantities
-Lam/rho appearing in the updates are the scaled dual variable).
+with the affine measurement constraint folded into the X-update.  The loop
+carries the scaled dual U = Lam / rho (Boyd et al. 2011, section 3.1.1).
+Because the adjoint-lift composition is a diagonal column weighting, the
+X-update has a per-column closed form: the unconstrained minimizer of
+||(Z + U) - vec_hankel(X)||_F^2 is m_j = adjoint(Z + U)_j / w_j, and
+re-imposing the scalar constraint on column j is a rank-one Euclidean
+projection.  The Z-update is singular value thresholding of
+vec_hankel(X) - U at 1/rho, taken from the eigendecomposition of the Gram
+matrix on the smaller side of the lift (n2 x n2 for the tall lifts of
+s >= 2), and the dual update is U <- U + Z - vec_hankel(X).  At the default
+rho = 1 every iterate is bit-identical to that of the unscaled form
+(Lam <- Lam + rho (Z - vec_hankel(X)), with Lam / rho formed in each
+update); at other rho the two differ in rounding only.
 
 The program is scale-equivariant (if X* solves it for y, c X* solves it for
 c y), but a fixed threshold 1/rho is not.  So the iteration runs on
@@ -147,17 +150,19 @@ def solve_vhl(y: np.ndarray, B: np.ndarray, shape: LiftShape,
     y = y / c
 
     w = hankel_weights(shape).astype(np.float64)
-    rho = config.rho
+    inv_rho = 1.0 / config.rho
+    rank_cap = config.svt_rank_cap
 
     def project_feasible(M):
-        # rank-one correction per column: enforce B[j,:] x_j = y[j]
+        # rank-one correction per column, in place: enforce B[j,:] x_j = y[j]
         resid = y - apply_measurement(M, B)
-        return M + apply_measurement_adjoint(resid / row_sq, B)
+        M += apply_measurement_adjoint(resid / row_sq, B)
+        return M
 
     # least-norm feasible start
     X = project_feasible(np.zeros((shape.s, shape.n), dtype=np.complex128))
     Z = vec_hankel(X, shape)
-    Lam = np.zeros_like(Z)
+    U = np.zeros_like(Z)
 
     hist_p = []
     hist_d = []
@@ -173,19 +178,25 @@ def solve_vhl(y: np.ndarray, B: np.ndarray, shape: LiftShape,
         it = 0
         converged = False
         for it in range(1, config.max_iters + 1):
-            scaled_dual = Lam / rho
-            M = vec_hankel_adjoint(Z + scaled_dual, shape) / w
+            # Z is free once Z + U is formed, so it takes HX - U; HX is
+            # free once its norm is taken, so it takes the gap Z - HX
+            Z += U
+            M = vec_hankel_adjoint(Z, shape)
+            M /= w
             X_new = project_feasible(M)
             HX = vec_hankel(X_new, shape)
-            Z = svt(HX - scaled_dual, 1.0 / rho, config.svt_rank_cap)
-            gap = Z - HX
-            Lam += rho * gap
+            hx_norm = np.linalg.norm(HX)
+            np.subtract(HX, U, out=Z)
+            Z = svt(Z, inv_rho, rank_cap)
+            gap = np.subtract(Z, HX, out=HX)
+            U += gap
 
-            primal = np.linalg.norm(gap) / max(1.0, np.linalg.norm(HX))
-            # ||vec_hankel(dX)||_F via the diagonal weighting, no lift needed
+            primal = np.linalg.norm(gap) / max(1.0, hx_norm)
+            # rho ||vec_hankel(dX)||_F / max(1, ||Lam||_F) written in U,
+            # with the lift's norm from the diagonal weighting
             dX = X_new - X
-            dual = rho * np.sqrt(np.sum(w * np.abs(dX) ** 2)) \
-                / max(1.0, np.linalg.norm(Lam))
+            dual = np.sqrt(np.sum(w * np.abs(dX) ** 2)) \
+                / max(inv_rho, np.linalg.norm(U))
             X = X_new
             if keep_history:
                 hist_p.append(primal)

@@ -124,6 +124,11 @@ def test_phase_config_validation():
                            fixed={"r": 1})
     with pytest.raises(ValueError, match="a cell with s=32 > n=16 has no"):
         small_phase_config(axis2_values=(1, 32))
+    with pytest.raises(ValueError, match="distribution must be one of"):
+        small_phase_config(distribution="uniform")
+    with pytest.raises(ValueError, match="orient_law must be 'gaussian'"):
+        small_phase_config(orient_law="uniform")
+    small_phase_config(distribution="Rademacher", orient_law="bernoulli")
 
 
 def test_phase_transition_easy_cells_and_determinism(tmp_path):
@@ -315,6 +320,8 @@ def test_sweep_config_validation():
     for step in (0.0, -1e-3, float("nan")):
         with pytest.raises(ValueError, match="grid step must be a positive"):
             small_sweep_config(grid_step=step)
+    with pytest.raises(ValueError, match="orient_law must be 'gaussian'"):
+        small_sweep_config(orient_law="uniform")
 
 
 def test_sweep_runs_and_orders(tmp_path):

@@ -375,6 +375,54 @@ def test_phase_transition_rejects_s_above_n(tmp_path, capsys):
         assert not any(out.iterdir())  # no trial ran
 
 
+def test_config_file_sampling_laws_checked_before_trials(tmp_path, capsys):
+    # a config file bypasses the flags' choices; an unknown law is an input
+    # error, not a trial that failed to recover
+    out = tmp_path / "out"
+    out.mkdir()
+    grid = ("phase-transition", "--values1", 1, "--values2", 1,
+            "--fixed", "n=8", "--trials", 2)
+    sweep = ("snr-sweep", "--n", 16, "--s", 2, "--r", 2, "--trials", 2,
+             "--estimators", "vhm:1")
+    cases = (
+        (grid, "distribution", "error: distribution must be one of "
+         "gaussian, rademacher, dftrows, got 'uniform'\n"),
+        (grid, "orient_law", "error: orient_law must be 'gaussian' or "
+         "'bernoulli', got 'uniform'\n"),
+        (sweep, "orient_law", "error: orient_law must be 'gaussian' or "
+         "'bernoulli', got 'uniform'\n"),
+    )
+    cfg = tmp_path / "cfg.json"
+    for argv, key, message in cases:
+        cfg.write_text(json.dumps({key: "uniform"}))
+        assert run_cli(*argv, "--config", cfg, "--out-dir", out) == 2
+        assert capsys.readouterr().err == message  # no trial ran
+        assert not any(out.iterdir())
+    # any letter case names a distribution, as it does for synth
+    cfg.write_text(json.dumps({"distribution": "DFTROWS"}))
+    assert run_cli(*grid, "--config", cfg, "--out-dir", out) == 0
+
+
+def test_missing_out_dir_found_before_any_work(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    (tmp_path / "file").write_text("")
+    for out_dir, reason in ((missing, "No such file or directory"),
+                            (tmp_path / "file", "Not a directory")):
+        for argv in (("phase-transition", "--values1", 1, "--values2", 1,
+                      "--fixed", "n=8", "--trials", 2),
+                     ("synth", "--n", 8, "--s", 2, "--r", 1)):
+            assert run_cli(*argv, "--out-dir", out_dir) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("I/O error: ")
+            assert reason in err and str(out_dir) in err
+            assert err.count("\n") == 1  # no progress line: no trial ran
+    assert not missing.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out_dir": 5}))
+    assert run_cli("synth", "--config", cfg) == 2
+    assert capsys.readouterr().err == "error: out_dir must be a string\n"
+
+
 def test_non_finite_snr_and_delta_rejected(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()

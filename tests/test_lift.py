@@ -5,11 +5,15 @@ before the vectorized versions and kept frozen; the library must agree
 with them, not the other way round.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from vhlift.lift import (
     LiftShape,
+    _gather_index,
     hankel_basis_matrix,
     hankel_weights,
     iso_lift,
@@ -279,3 +283,48 @@ def test_stacked_singular_values_match():
         sv_stack = np.linalg.svd(stacked_hankel(X, sh), compute_uv=False)
         np.testing.assert_allclose(sv_block, sv_stack, rtol=0,
                                    atol=1e-10 * max(1.0, sv_block[0]))
+
+
+def test_gather_index_cached_read_only_per_shape():
+    shape = LiftShape(n=12, s=3, n1=5, n2=8)
+    idx = _gather_index(shape)
+    assert _gather_index(LiftShape(n=12, s=3, n1=5, n2=8)) is idx
+    with pytest.raises(ValueError):
+        idx[0, 0] = 1
+    # row j*s + l, column k reads X[l, j + k]
+    j, l, k = 4, 2, 7
+    assert idx[j * 3 + l, k] == l * 12 + j + k
+    # every field of the shape is part of the key
+    for other in (LiftShape(n=12, s=3, n1=6, n2=7),
+                  LiftShape(n=12, s=2, n1=5, n2=8),
+                  LiftShape(n=13, s=3, n1=5, n2=9)):
+        assert _gather_index(other) is not idx
+        assert _gather_index(other).shape == (other.s * other.n1, other.n2)
+    # the lift is a fresh array: writing to it leaves the index alone
+    rng = np.random.default_rng(5)
+    X = crandn(rng, 3, 12)
+    Z = vec_hankel(X, shape)
+    Z[...] = 0.0
+    np.testing.assert_array_equal(vec_hankel(X, shape),
+                                  lift_by_loops(X, shape))
+    # a matrix that is not C-contiguous lifts the same
+    np.testing.assert_array_equal(vec_hankel(np.asfortranarray(X), shape),
+                                  lift_by_loops(X, shape))
+
+
+def test_gather_index_shared_across_threads():
+    # harness workers are threads of one process and share the cache
+    rng = np.random.default_rng(6)
+    shapes = [LiftShape.default(n, s) for n in (9, 16) for s in (1, 2, 5)]
+    cases = [(crandn(rng, sh.s, sh.n), sh) for sh in shapes * 8]
+    _gather_index.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            lifts = list(pool.map(lambda case: vec_hankel(*case), cases,
+                                  timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for (X, sh), Z in zip(cases, lifts):
+        np.testing.assert_array_equal(Z, lift_by_loops(X, sh))

@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from vhlift.lift import LiftShape, vec_hankel
+from vhlift.lift import (
+    LiftShape,
+    hankel_weights,
+    vec_hankel,
+    vec_hankel_adjoint,
+)
 from vhlift.model import (
     apply_measurement,
+    apply_measurement_adjoint,
     sample_model,
     sample_subspace,
     synthesize_data_matrix,
@@ -258,3 +264,64 @@ def test_report_round_trip_dict():
     assert doc["s"] == 2 and doc["n"] == 16
     flat = np.array([complex(a, b) for a, b in doc["X_hat"]])
     np.testing.assert_array_equal(flat.reshape((2, 16), order="F"), rep.X_hat)
+
+
+# ---------------------------------------------------------------- scaled dual
+
+def unscaled_admm(y, B, shape, rho):
+    """The loop in the unscaled-dual form, Lam / rho formed in each update,
+    kept frozen as the reference for solve_vhl's scaled-dual loop (s >= 2,
+    default max_iters and tol_rel)."""
+    B = np.asarray(B, dtype=np.complex128)
+    row_sq = np.sum(np.abs(B) ** 2, axis=1)
+    peak = float(np.max(np.abs(y)))
+    c = peak * float(np.linalg.norm(y / peak)) / np.sqrt(shape.n)
+    y = y / c
+    w = hankel_weights(shape).astype(np.float64)
+
+    def project_feasible(M):
+        resid = y - apply_measurement(M, B)
+        return M + apply_measurement_adjoint(resid / row_sq, B)
+
+    X = project_feasible(np.zeros((shape.s, shape.n), dtype=np.complex128))
+    Z = vec_hankel(X, shape)
+    Lam = np.zeros_like(Z)
+    hist_p, hist_d = [], []
+    converged = False
+    for it in range(1, 5001):
+        scaled_dual = Lam / rho
+        M = vec_hankel_adjoint(Z + scaled_dual, shape) / w
+        X_new = project_feasible(M)
+        HX = vec_hankel(X_new, shape)
+        Z = svt(HX - scaled_dual, 1.0 / rho)
+        gap = Z - HX
+        Lam += rho * gap
+        primal = np.linalg.norm(gap) / max(1.0, np.linalg.norm(HX))
+        dX = X_new - X
+        dual = rho * np.sqrt(np.sum(w * np.abs(dX) ** 2)) \
+            / max(1.0, np.linalg.norm(Lam))
+        X = X_new
+        hist_p.append(primal)
+        hist_d.append(dual)
+        if primal <= 1e-7 and dual <= 1e-7:
+            converged = True
+            break
+    return c * X, it, converged, np.array(hist_p), np.array(hist_d)
+
+
+@pytest.mark.parametrize("s", [2, 3, 8])
+def test_scaled_dual_matches_unscaled_form(s):
+    _, B, X, y = _instance(32, s, 2, seed=40 + s)
+    shape = LiftShape.default(32, s)
+    X_ref, iters, converged, hist_p, hist_d = unscaled_admm(y, B, shape, 1.0)
+    rep = solve_vhl(y, B, shape, keep_history=True)
+    # at rho = 1 the two forms round alike: the same iterates, bit for bit
+    assert np.array_equal(rep.X_hat, X_ref)
+    assert rep.iters == iters and rep.converged == converged
+    assert np.array_equal(rep.primal_history, hist_p)
+    assert np.array_equal(rep.dual_history, hist_d)
+    # at other rho they differ in rounding only
+    X_ref, _, converged, _, _ = unscaled_admm(y, B, shape, 0.5)
+    rep = solve_vhl(y, B, shape, SolverConfig(rho=0.5))
+    assert rep.converged == converged
+    assert np.linalg.norm(rep.X_hat - X_ref) <= 1e-6 * np.linalg.norm(X_ref)
