@@ -336,7 +336,7 @@ class SweepConfig:
         min_separation(self.r, self.delta)
         grid_size(self.grid_step)
         for est in self.estimators:
-            parse_estimator(est, self.s, self.r)
+            parse_estimator(est, self.n, self.s, self.r)
 
 
 @dataclass

@@ -118,24 +118,38 @@ def _parse_fixed(opts, key) -> dict:
 
 
 def _as(conv):
-    return lambda opts, key: conv(opts[key])
+    def parse(opts, key):
+        try:
+            return conv(opts[key])
+        except TypeError:  # a JSON list or object from a config file
+            raise CliError("%s must be %s, got %r"
+                           % (key, "an integer" if conv is int else "a number",
+                              opts[key])) from None
+    return parse
 
 
 def _optional(parse):
     return lambda opts, key: None if opts[key] is None else parse(opts, key)
 
 
-_maybe_int = _optional(_as(int))
-_maybe_float = _optional(_as(float))
-_maybe_count = _optional(_positive_int)
-NULLABLE = (_maybe_int, _maybe_float, _maybe_count)  # parses that read null
+_int = _as(int)
+_float = _as(float)
+_maybe_int = _optional(_int)
+_maybe_float = _optional(_float)
+NULLABLE = (_maybe_int, _maybe_float)  # parses that read null
+
+
+def _path(opts, key) -> str:
+    """A path option; a number would name a file descriptor to open()."""
+    path = opts[key]
+    if not isinstance(path, str):
+        raise CliError("%s must be a string" % key)
+    return path
 
 
 def _check_out_dir(opts) -> None:
     """Fail before any work is done, not when the first output is written."""
-    path = opts["out_dir"]
-    if not isinstance(path, str):
-        raise CliError("out_dir must be a string")
+    path = _path(opts, "out_dir")
     if not os.path.isdir(path):
         code = errno.ENOTDIR if os.path.exists(path) else errno.ENOENT
         raise OSError(code, os.strerror(code), path)
@@ -217,7 +231,6 @@ SOLVER = (  # SolverConfig fields
         help="inverse SVT threshold, relative to unit-RMS data"),
     Opt("tol", field="tol_rel", type=float),
     Opt("max_iters", field="max_iters", parse=_positive_int, type=int),
-    Opt("rank_cap", field="svt_rank_cap", parse=_maybe_count, type=int),
 )
 
 SOLVE = (
@@ -232,10 +245,8 @@ MUSIC = (
     OUT_DIR,
     Opt("x", "X.csv", help="data matrix CSV"),
     Opt("r", parse=_maybe_int, type=int, help="model order (required)"),
-    Opt("estimator", "vhm", choices=("vhm", "single", "mmv")),
-    Opt("row", parse=_maybe_int, type=int,
-        help="row used by --estimator single"),
-    Opt("rows", parse=_maybe_int, type=int, help="leading rows used by vhm"),
+    Opt("estimator", "vhm", help="vhm, vhm:K (first K rows), single "
+        "(first row) or mmv (default vhm)"),
     Opt("grid_step", GRID_STEP, type=float),
     Opt("n1", parse=_maybe_int, type=int),
     Opt("svg", False, action="store_const", const=True,
@@ -288,7 +299,7 @@ def cmd_synth(opts) -> int:
     r = _positive_int(opts, "r")
     if n < s:
         raise CliError("need n >= s, got n=%d s=%d" % (n, s))
-    seed = int(opts["seed"])
+    seed = _int(opts, "seed")
     distribution = str(opts["distribution"]).lower()
     rng = np.random.default_rng(seed)
     model = sample_model(r, s, seed=rng, delta=_maybe_float(opts, "delta"),
@@ -308,9 +319,9 @@ def cmd_synth(opts) -> int:
 
 
 def cmd_solve(opts) -> int:
-    _, B = load_problem(opts["model"])
+    _, B = load_problem(_path(opts, "model"))
     n, s = B.shape
-    y = io.read_complex_vector_csv(opts["y"])
+    y = io.read_complex_vector_csv(_path(opts, "y"))
     if y.shape[0] != n:
         raise CliError("measurement length %d does not match the sensing "
                        "matrix (%d rows)" % (y.shape[0], n))
@@ -330,24 +341,9 @@ def cmd_music(opts) -> int:
         raise CliError("--r (model order) is required")
     r = _positive_int(opts, "r")
     estimator = str(opts["estimator"])
-    for key, owner in (("rows", "vhm"), ("row", "single")):
-        if opts[key] is not None and estimator != owner:
-            raise CliError("--%s goes only with --estimator %s" % (key, owner))
-    X = io.read_complex_matrix_csv(opts["x"])
-    s = X.shape[0]
-    X_est = X
-    if opts["rows"] is not None:
-        rows = _positive_int(opts, "rows")
-        if rows > s:
-            raise CliError("--rows exceeds the %d data rows" % s)
-        X_est = X[:rows]
-    elif estimator == "single":
-        row = _maybe_int(opts, "row") or 0
-        if not 0 <= row < s:
-            raise CliError("--row out of range for %d data rows" % s)
-        X_est = X[row:row + 1]
-    u_perp = noise_subspace(X_est, r, estimator, _maybe_int(opts, "n1"))
-    curve = pseudospectrum(u_perp, float(opts["grid_step"]))
+    X = io.read_complex_matrix_csv(_path(opts, "x"))
+    u_perp = noise_subspace(X, r, estimator, _maybe_int(opts, "n1"))
+    curve = pseudospectrum(u_perp, _float(opts, "grid_step"))
     peaks = pick_peaks(curve, r)
     sources = recover_amplitudes(X, peaks.taus)
     save_pseudospectrum_csv(_out(opts, "pseudospectrum.csv"), curve)

@@ -74,21 +74,26 @@ class RecoveredSources:
     ill_conditioned: bool
 
 
-def parse_estimator(name: str, s: int, r: int) -> tuple[str, int]:
-    """Validate an estimator tag against the instance dimensions.
+def parse_estimator(name: str, n: int, s: int, r: int,
+                    n1: int | None = None) -> tuple[int, LiftShape]:
+    """Map an estimator tag to the leading data rows it lifts and the
+    lift's shape, for an s x n data matrix and model order r.
 
-    Tags: "vhm" (all rows), "vhm:K" (first K rows), "single" (first row),
-    "mmv" (needs r <= s).  Returns (kind, rows).
+    Tags: "vhm" lifts all s rows and "vhm:K" the first K, at the split n1
+    (near-square by default); "single" is "vhm:1"; "mmv" lifts all rows at
+    n1 = 1, so it takes no n1 and needs r <= s.  Every tag needs
+    0 <= r < n2.  Returns (rows, shape).
     """
     if name == "mmv":
         if r > s:
             raise ValueError("mmv needs r <= s")
-        return "mmv", s
-    if name == "single":
-        return "single", 1
-    if name == "vhm":
-        return "vhm", s
-    if name.startswith("vhm:"):
+        if n1 is not None:
+            raise ValueError("mmv lifts at n1 = 1 and takes no n1, got %r"
+                             % (n1,))
+        rows, n1 = s, 1
+    elif name in ("vhm", "single"):
+        rows = s if name == "vhm" else 1
+    elif name.startswith("vhm:"):
         try:
             rows = int(name.split(":", 1)[1])
         except ValueError:
@@ -96,25 +101,26 @@ def parse_estimator(name: str, s: int, r: int) -> tuple[str, int]:
         if not 1 <= rows <= s:
             raise ValueError("estimator %r wants %d rows but s=%d"
                              % (name, rows, s))
-        return "vhm", rows
-    raise ValueError("unknown estimator %r" % name)
+    else:
+        raise ValueError("unknown estimator %r" % name)
+    shape = LiftShape.default(n, rows, n1)
+    if not 0 <= r < shape.n2:
+        raise ValueError("model order must satisfy 0 <= r < n2, got r=%d "
+                         "and n2=%d" % (r, shape.n2))
+    return rows, shape
 
 
 def noise_subspace(X: np.ndarray, r: int, estimator: str,
                    n1: int | None = None) -> np.ndarray:
-    """Noise subspace U_perp of an s x n data matrix by estimator tag (see
-    parse_estimator); n1 overrides the default lift split except for "mmv".
+    """Noise subspace U_perp of an s x n data matrix by estimator tag and
+    lift split n1, which "mmv" rejects (see parse_estimator).
 
     The signal space is spanned by the top r left singular vectors of the
     transposed lift vec_hankel(X[:rows]).T; the remaining n2 - r columns
     are returned as an n2 x (n2 - r) matrix with orthonormal columns.
     """
     X = np.atleast_2d(np.asarray(X))
-    s, n = X.shape
-    kind, rows = parse_estimator(estimator, s, r)
-    shape = LiftShape.default(n, rows, 1 if kind == "mmv" else n1)
-    if not 0 <= r < shape.n2:
-        raise ValueError("model order must satisfy 0 <= r < n2")
+    rows, shape = parse_estimator(estimator, X.shape[1], X.shape[0], r, n1)
     X = X[:rows]
     if np.linalg.norm(X) == 0.0:
         raise ValueError("data matrix is zero; its singular subspaces "

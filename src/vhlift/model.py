@@ -330,7 +330,8 @@ def save_problem(path, model: PointSourceModel, B: np.ndarray,
 
 def load_problem(path) -> tuple[PointSourceModel, np.ndarray]:
     """Read a problem file as (model, B), rejecting any non-finite number
-    in it."""
+    in it and any field of the wrong JSON type with a ValueError that names
+    the file."""
     def finite(text):
         value = float(text)
         if not np.isfinite(value):
@@ -339,10 +340,14 @@ def load_problem(path) -> tuple[PointSourceModel, np.ndarray]:
 
     with open(path) as fh:
         doc = json.load(fh, parse_float=finite, parse_constant=finite)
-    n, s, r = int(doc["n"]), int(doc["s"]), int(doc["r"])
-    model = PointSourceModel(
-        taus=np.asarray(doc["taus"], dtype=np.float64),
-        amps=io.pairs_to_complex(doc["amps"], r, 1).ravel(),
-        orients=io.pairs_to_complex(doc["orients"], s, r),
-    )
-    return model, io.pairs_to_complex(doc["B"], n, s)
+    try:
+        n, s, r = int(doc["n"]), int(doc["s"]), int(doc["r"])
+        model = PointSourceModel(
+            taus=np.asarray(doc["taus"], dtype=np.float64),
+            amps=io.pairs_to_complex(doc["amps"], r, 1).ravel(),
+            orients=io.pairs_to_complex(doc["orients"], s, r),
+        )
+        return model, io.pairs_to_complex(doc["B"], n, s)
+    except (TypeError, KeyError) as exc:  # e.g. a null count, flat pairs
+        raise ValueError("malformed problem file %s: %s: %s"
+                         % (path, type(exc).__name__, exc)) from None

@@ -57,7 +57,6 @@ class SolverConfig:
     rho: float = 1.0
     max_iters: int = 5000
     tol_rel: float = 1e-7
-    svt_rank_cap: int | None = None
 
     def __post_init__(self):
         if not self.rho > 0:
@@ -66,8 +65,6 @@ class SolverConfig:
             raise ValueError("tol_rel must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.svt_rank_cap is not None and self.svt_rank_cap < 0:
-            raise ValueError("svt_rank_cap must be nonnegative")
 
 
 @dataclass
@@ -84,29 +81,23 @@ class SolveReport:
     dual_history: np.ndarray | None = field(default=None, repr=False)
 
 
-def svt(M: np.ndarray, threshold: float,
-        rank_cap: int | None = None) -> np.ndarray:
+def svt(M: np.ndarray, threshold: float) -> np.ndarray:
     """Singular value soft-thresholding, the proximal map of the nuclear norm.
 
-    Optionally zeroes all singular values beyond rank_cap.  Computed from
-    the eigendecomposition of the Gram matrix on the smaller side of M
-    (M^H M when M is tall, M M^H when it is wide): with sigma_i the
-    singular values above the threshold tau and V_k their right singular
-    vectors, the result is M V_k diag((sigma - tau) / sigma) V_k^H.  Its
-    error relative to a full SVD grows like eps * sigma_max / tau.
+    Computed from the eigendecomposition of the Gram matrix on the smaller
+    side of M (M^H M when M is tall, M M^H when it is wide): with sigma_i
+    the singular values above the threshold tau and V_k their right
+    singular vectors, the result is M V_k diag((sigma - tau) / sigma) V_k^H.
+    Its error relative to a full SVD grows like eps * sigma_max / tau.
     """
     if not threshold >= 0:
         raise ValueError("threshold must be nonnegative")
-    if rank_cap is not None and rank_cap < 0:
-        raise ValueError("rank_cap must be nonnegative")
     M = np.asarray(M)
     wide = M.shape[0] < M.shape[1]
     A = M.conj().T if wide else M
     lam, V = np.linalg.eigh(A.conj().T @ A)
     sig = np.sqrt(np.maximum(lam[::-1], 0.0))  # descending
     k = int(np.count_nonzero(sig > threshold))
-    if rank_cap is not None:
-        k = min(k, rank_cap)
     Vk = V[:, ::-1][:, :k]
     Z = ((A @ Vk) * ((sig[:k] - threshold) / sig[:k])) @ Vk.conj().T
     return Z.conj().T if wide else Z
@@ -151,7 +142,6 @@ def solve_vhl(y: np.ndarray, B: np.ndarray, shape: LiftShape,
 
     w = hankel_weights(shape).astype(np.float64)
     inv_rho = 1.0 / config.rho
-    rank_cap = config.svt_rank_cap
 
     def project_feasible(M):
         # rank-one correction per column, in place: enforce B[j,:] x_j = y[j]
@@ -187,7 +177,7 @@ def solve_vhl(y: np.ndarray, B: np.ndarray, shape: LiftShape,
             HX = vec_hankel(X_new, shape)
             hx_norm = np.linalg.norm(HX)
             np.subtract(HX, U, out=Z)
-            Z = svt(Z, inv_rho, rank_cap)
+            Z = svt(Z, inv_rho)
             gap = np.subtract(Z, HX, out=HX)
             U += gap
 

@@ -25,6 +25,7 @@ from vhlift.bench import (
     sweep_to_csv,
     sweep_to_svg,
 )
+from vhlift.lift import LiftShape
 from vhlift.model import sample_model, synthesize_data_matrix
 from vhlift.solver import SolverConfig
 
@@ -69,15 +70,33 @@ def test_hausdorff_metrics():
 # ---------------------------------------------------------------- estimators
 
 def test_parse_estimator():
-    assert parse_estimator("vhm", 6, 4) == ("vhm", 6)
-    assert parse_estimator("vhm:2", 6, 4) == ("vhm", 2)
-    assert parse_estimator("single", 6, 4) == ("single", 1)
-    assert parse_estimator("mmv", 6, 4) == ("mmv", 6)
+    def shape(n, s, n1):
+        return LiftShape(n=n, s=s, n1=n1, n2=n + 1 - n1)
+
+    assert parse_estimator("vhm", 32, 6, 4) == (6, shape(32, 6, 16))
+    assert parse_estimator("vhm:2", 32, 6, 4) == (2, shape(32, 2, 16))
+    assert parse_estimator("vhm:2", 32, 6, 4, n1=5) == (2, shape(32, 2, 5))
+    assert parse_estimator("single", 32, 6, 4) == (1, shape(32, 1, 16))
+    assert parse_estimator("single", 32, 6, 4) \
+        == parse_estimator("vhm:1", 32, 6, 4)
+    assert parse_estimator("mmv", 32, 6, 4) == (6, shape(32, 6, 1))
     for bad in ("vhm:0", "vhm:7", "vhm:x", "esprit"):
         with pytest.raises(ValueError):
-            parse_estimator(bad, 6, 4)
-    with pytest.raises(ValueError):
-        parse_estimator("mmv", 3, 4)
+            parse_estimator(bad, 32, 6, 4)
+    with pytest.raises(ValueError, match="mmv needs r <= s"):
+        parse_estimator("mmv", 32, 3, 4)
+    for n1 in (1, 7, 0):
+        with pytest.raises(ValueError, match="takes no n1"):
+            parse_estimator("mmv", 32, 6, 4, n1=n1)
+    # n = 16 splits into n1 = 8 and n2 = 9; n1 = 12 leaves n2 = 5
+    for est in ("vhm", "vhm:1", "single"):
+        assert parse_estimator(est, 16, 2, 8)[1].n2 == 9
+        with pytest.raises(ValueError, match="0 <= r < n2, got r=9 and n2=9"):
+            parse_estimator(est, 16, 2, 9)
+        with pytest.raises(ValueError, match="got r=5 and n2=5"):
+            parse_estimator(est, 16, 2, 5, n1=12)
+    with pytest.raises(ValueError, match="0 <= r < n2, got r=2 and n2=2"):
+        parse_estimator("mmv", 2, 3, 2)
 
 
 def test_estimate_frequencies_noiseless():
@@ -322,6 +341,9 @@ def test_sweep_config_validation():
             small_sweep_config(grid_step=step)
     with pytest.raises(ValueError, match="orient_law must be 'gaussian'"):
         small_sweep_config(orient_law="uniform")
+    # r >= n2 is found when the config is built, not inside the first trial
+    with pytest.raises(ValueError, match="0 <= r < n2, got r=9 and n2=9"):
+        SweepConfig(n=16, s=2, r=9, estimators=("vhm",), trials=4)
 
 
 def test_sweep_runs_and_orders(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vhlift import cli, io
-from vhlift.bench import hausdorff_distance
+from vhlift.bench import estimate_frequencies, hausdorff_distance
 from vhlift.model import (
     apply_measurement,
     load_problem,
@@ -237,6 +237,29 @@ def test_solve_rejects_non_finite_model_json(tmp_path, capsys):
     assert capsys.readouterr().err == "error: non-finite value in %s\n" % bad
 
 
+@pytest.mark.parametrize("case", ["top_level_list", "null_n", "flat_amps",
+                                  "flat_B"])
+def test_solve_rejects_malformed_model_json(tmp_path, capsys, case):
+    model_path, _, y_path = synth_files(tmp_path)
+    doc = json.loads(model_path.read_text())
+    if case == "top_level_list":
+        doc = [1, 2]
+    elif case == "null_n":
+        doc["n"] = None
+    elif case == "flat_amps":
+        doc["amps"] = [1.0, 2.0]
+    else:
+        doc["B"] = [x for pair in doc["B"] for x in pair]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("solve", "--model", bad, "--y", y_path,
+                   "--out-dir", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed problem file %s: " % bad)
+    assert err.count("\n") == 1
+
+
 def test_solve_nonconvergence_exit_3(tmp_path):
     model_path, _, y_path = synth_files(tmp_path)
     code = run_cli("solve", "--model", model_path, "--y", y_path,
@@ -276,7 +299,7 @@ def test_music_single_row_equals_vhm_on_one_row(tmp_path):
                    "--out-dir", tmp_path) == 0
     x_path = tmp_path / "X.csv"
     assert run_cli("music", "--x", x_path, "--r", 2, "--estimator", "single",
-                   "--row", 0, "--out-dir", d_single) == 0
+                   "--out-dir", d_single) == 0
     assert run_cli("music", "--x", x_path, "--r", 2, "--estimator", "vhm",
                    "--out-dir", d_vhm) == 0
     got = json.loads((d_single / "sources.json").read_text())
@@ -289,31 +312,60 @@ def test_music_error_exit_codes(tmp_path):
     assert run_cli("music", "--x", x_path, "--out-dir", tmp_path) == 2
     assert run_cli("music", "--x", x_path, "--r", 5, "--estimator", "mmv",
                    "--out-dir", tmp_path) == 2
-    assert run_cli("music", "--x", x_path, "--r", 4, "--estimator", "single",
-                   "--row", 9, "--out-dir", tmp_path) == 2
-    assert run_cli("music", "--x", x_path, "--r", 4, "--rows", 9,
+    assert run_cli("music", "--x", x_path, "--r", 4, "--estimator", "vhm:9",
                    "--out-dir", tmp_path) == 2
     assert run_cli("music", "--x", tmp_path / "nope.csv", "--r", 4,
                    "--out-dir", tmp_path) == 4
 
 
-def test_music_row_options_need_their_estimator(tmp_path, capsys):
+def test_music_tag_matches_sweep_estimator(tmp_path, capsys):
+    # music takes the sweep's estimator tags and runs the same estimator
     _, x_path, _ = synth_files(tmp_path)
+    capsys.readouterr()
+    assert run_cli("music", "--x", x_path, "--r", 4, "--estimator", "vhm:2",
+                   "--out-dir", tmp_path) == 0
+    doc = json.loads((tmp_path / "sources.json").read_text())
+    want = estimate_frequencies(io.read_complex_matrix_csv(x_path), 4, "vhm:2")
+    assert doc["taus_hat"] == [float(t) for t in want]
+    assert doc["estimator"] == "vhm:2"
+    assert capsys.readouterr().out.startswith("music: estimator=vhm:2 ")
+
+
+@pytest.mark.parametrize("n1", ["7", "0", "1", "config"])
+def test_music_mmv_rejects_n1(tmp_path, capsys, n1):
+    # mmv lifts at n1 = 1; an n1 given with it is an error, not ignored
+    assert run_cli("synth", "--n", 32, "--s", 4, "--r", 3, "--seed", 2,
+                   "--out-dir", tmp_path) == 0
     out = tmp_path / "out"
     out.mkdir()
-    owner = {"--rows": "vhm", "--row": "single"}
-    for estimator, flag in (("mmv", "--rows"), ("single", "--rows"),
-                            ("vhm", "--row"), ("mmv", "--row")):
-        assert run_cli("music", "--x", x_path, "--r", 3, "--estimator",
-                       estimator, flag, 1, "--out-dir", out) == 2
-        assert capsys.readouterr().err == \
-            "error: %s goes only with --estimator %s\n" % (flag, owner[flag])
+    if n1 == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n1": 7}))
+        extra, n1 = ("--config", cfg), "7"
+    else:
+        extra = ("--n1", n1)
+    capsys.readouterr()
+    assert run_cli("music", "--x", tmp_path / "X.csv", "--r", 3,
+                   "--estimator", "mmv", *extra, "--out-dir", out) == 2
+    assert capsys.readouterr().err == \
+        "error: mmv lifts at n1 = 1 and takes no n1, got %s\n" % n1
     assert not any(out.iterdir())
-    # a null row means the default, row 0
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"row": None}))
-    assert run_cli("music", "--config", cfg, "--x", x_path, "--r", 3,
-                   "--estimator", "single", "--out-dir", out) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("music", "--x", "X.csv", "--r", 4, "--rows", 2),
+    ("music", "--x", "X.csv", "--r", 4, "--estimator", "single", "--row", 0),
+    ("solve", "--rank-cap", 2),
+    ("phase-transition", "--values1", 1, "--values2", 1, "--fixed", "n=8",
+     "--trials", 1, "--rank-cap", 2),
+])
+def test_removed_flags_exit_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out-dir", tmp_path)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: %s" % argv[-2] in err
+    assert "Traceback" not in err
 
 
 def test_grid_step_must_be_positive(tmp_path, capsys):
@@ -501,6 +553,16 @@ def test_snr_sweep_validation(tmp_path):
                    "--out-dir", tmp_path) == 2
 
 
+def test_snr_sweep_model_order_checked_before_trials(tmp_path, capsys):
+    # n = 16 gives n2 = 9, so r = 9 leaves no noise subspace
+    assert run_cli("snr-sweep", "--n", 16, "--s", 2, "--r", 9,
+                   "--estimators", "vhm", "--trials", 4,
+                   "--out-dir", tmp_path) == 2
+    assert capsys.readouterr().err == \
+        "error: model order must satisfy 0 <= r < n2, got r=9 and n2=9\n"
+    assert not any(tmp_path.iterdir())
+
+
 # ------------------------------------------------------------- config file
 
 def test_config_file_precedence(tmp_path):
@@ -534,13 +596,49 @@ def test_config_file_errors(tmp_path, capsys):
             "error: config key %s must not be null\n" % key
 
 
+@pytest.mark.parametrize("command, doc, message", [
+    ("phase-transition", {"threshold": [1]}, "threshold must be a number"),
+    ("snr-sweep", {"grid_step": [1]}, "grid_step must be a number"),
+    ("synth", {"delta": [1]}, "delta must be a number"),
+    ("synth", {"seed": [1]}, "seed must be an integer"),
+    ("solve", {"rho": [1]}, "rho must be a number"),
+    ("music", {"grid_step": {}}, "grid_step must be a number"),
+    # a number would name a file descriptor to open(); 0 is stdin
+    ("music", {"x": 5}, "x must be a string"),
+    ("music", {"x": 0}, "x must be a string"),
+    ("solve", {"model": 5}, "model must be a string"),
+    ("solve", {"y": 5}, "y must be a string"),
+    # removed options are unknown keys, null or not
+    ("music", {"rows": 2}, "unknown config keys: rows"),
+    ("music", {"row": None}, "unknown config keys: row"),
+    ("solve", {"rank_cap": 2}, "unknown config keys: rank_cap"),
+    ("phase-transition", {"rank_cap": None},
+     "unknown config keys: rank_cap"),
+])
+def test_config_value_of_wrong_type_or_removed_key(tmp_path, monkeypatch, capsys, command,
+                                    doc, message):
+    synth_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    extra = ("--r", 4) if command == "music" else ()
+    capsys.readouterr()
+    assert run_cli(command, "--config", cfg, *extra, "--out-dir", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s" % message)
+    assert err.count("\n") == 1
+    assert not any(out.iterdir())
+
+
 CONFIG_KEYS = {
     "synth": "n s r seed distribution snr delta orient_law out_dir",
-    "solve": "model y out_dir rho tol max_iters rank_cap n1",
-    "music": "x r estimator row rows grid_step n1 out_dir svg",
+    "solve": "model y out_dir rho tol max_iters n1",
+    "music": "x r estimator grid_step n1 out_dir svg",
     "phase-transition": "axis1 values1 axis2 values2 fixed trials threshold "
                         "seed distribution delta orient_law rho tol "
-                        "max_iters rank_cap threads out_dir",
+                        "max_iters threads out_dir",
     "snr-sweep": "n s r snr estimators trials delta orient_law metric "
                  "grid_step seed threads out_dir",
 }

@@ -37,26 +37,18 @@ def test_svt_identity_and_full_shrinkage():
                                rtol=0, atol=1e-14)
 
 
-def test_svt_diagonal_case_and_rank_cap():
+def test_svt_diagonal_case_and_bad_thresholds():
     M = np.diag([3.0, 1.0])
     np.testing.assert_allclose(svt(M, 2.0), np.diag([1.0, 0.0]), atol=1e-14)
-    M = np.diag([5.0, 4.0, 3.0])
-    capped = svt(M, 1.0, rank_cap=2)
-    np.testing.assert_allclose(capped, np.diag([4.0, 3.0, 0.0]), atol=1e-14)
     with pytest.raises(ValueError):
         svt(M, -1.0)
     with pytest.raises(ValueError):
         svt(np.eye(2), np.nan)
-    with pytest.raises(ValueError):
-        svt(M, 1.0, rank_cap=-1)
 
 
-def svt_by_svd(M, threshold, rank_cap=None):
+def svt_by_svd(M, threshold):
     U, sig, Vh = np.linalg.svd(M, full_matrices=False)
-    shrunk = np.maximum(sig - threshold, 0.0)
-    if rank_cap is not None:
-        shrunk[rank_cap:] = 0.0
-    return (U * shrunk) @ Vh
+    return (U * np.maximum(sig - threshold, 0.0)) @ Vh
 
 
 def with_singular_values(rng, rows, cols, sig):
@@ -80,9 +72,6 @@ def test_svt_matches_svd_reference():
         M = with_singular_values(rng, rows, cols, sig)
         assert_close(svt(M, 1.0), svt_by_svd(M, 1.0))
         assert_close(svt(M.conj().T, 1.0), svt_by_svd(M.conj().T, 1.0))
-        assert_close(svt(M, 1.0, rank_cap=3), svt_by_svd(M, 1.0, rank_cap=3))
-        np.testing.assert_array_equal(svt(M, 1.0, rank_cap=0),
-                                      np.zeros_like(M))
     # rank-deficient: rank 5 of 33, kept whole and thresholded
     M = with_singular_values(rng, 96, 33, np.array([9.0, 7.0, 5.0, 3.0, 1.0]))
     for threshold in (0.0, 0.5, 4.0):
@@ -125,11 +114,6 @@ def test_config_validation():
         SolverConfig(tol_rel=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
-    # rejected when the config is built, not inside every harness trial,
-    # where svt's ValueError would count as a failed recovery
-    with pytest.raises(ValueError, match="svt_rank_cap must be nonnegative"):
-        SolverConfig(svt_rank_cap=-1)
-    assert SolverConfig(svt_rank_cap=0).svt_rank_cap == 0
 
 
 # ---------------------------------------------------------------- solve
