@@ -3,11 +3,11 @@ the two Monte Carlo experiment harnesses.
 
 Every subcommand is a thin adapter around the library modules; it parses
 and validates options, calls the library, and writes files.  Each
-subcommand's options are one table of Opt rows, from which both the
-argparse flags and the accepted --config keys derive.  Option precedence
-is flags over --config JSON over built-in defaults.  Exit codes: 0
-success, 2 usage or validation problem, 3 solver hit the iteration cap,
-4 I/O failure.
+subcommand's options are one table of Opt rows, from which the argparse
+flags, the accepted --config keys and the one parse of both derive.
+Option precedence is flags over --config JSON over built-in defaults.
+Exit codes: 0 success, 2 usage or validation problem, 3 solver hit the
+iteration cap, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -70,39 +70,71 @@ class CliError(Exception):
 
 # ---------------------------------------------------------------- values
 
+def _as(conv, what):
+    """Parse with conv.  A JSON true/false is no number and a JSON float
+    no integer, just as the flag `--n 64.0` is none."""
+    def parse(opts, key):
+        val = opts[key]
+        try:
+            if not (isinstance(val, bool)
+                    or conv is int and isinstance(val, float)):
+                return conv(val)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise CliError("%s must be %s, got %r" % (key, what, val))
+    return parse
+
+
+_int = _as(int, "an integer")
+_float = _as(float, "a number")
+
+
 def _positive_int(opts, key) -> int:
-    try:
-        v = int(opts[key])
-    except (TypeError, ValueError):
-        raise CliError("%s must be an integer" % key) from None
+    v = _int(opts, key)
     if v < 1:
         raise CliError("%s must be positive, got %d" % (key, v))
     return v
 
 
-def _int_list(opts, key) -> tuple:
-    text = opts[key]
-    try:
-        vals = tuple(int(tok) for tok in str(text).split(","))
-    except ValueError:
-        raise CliError("expected a comma-separated integer list, got %r"
-                       % (text,)) from None
-    if not vals:
-        raise CliError("empty value list")
-    return vals
+def _optional(parse):
+    return lambda opts, key: None if opts[key] is None else parse(opts, key)
 
 
-def _float_list(opts, key) -> tuple:
-    text = opts[key]
-    try:
-        return tuple(float(tok) for tok in str(text).split(","))
-    except ValueError:
-        raise CliError("expected a comma-separated number list, got %r"
-                       % (text,)) from None
+_maybe_int = _optional(_int)
+_maybe_float = _optional(_float)
+_maybe_positive_int = _optional(_positive_int)
+NULLABLE = (_maybe_int, _maybe_float, _maybe_positive_int)  # read null
 
 
-def _str_list(opts, key) -> tuple:
-    return tuple(str(opts[key]).split(","))
+def _str(opts, key) -> str:
+    """A string option; a number given for a path would name a file
+    descriptor to open()."""
+    val = opts[key]
+    if not isinstance(val, str):
+        raise CliError("%s must be a string" % key)
+    return val
+
+
+def _lower(opts, key) -> str:
+    return _str(opts, key).lower()
+
+
+def _bool(opts, key) -> bool:
+    val = opts[key]
+    if not isinstance(val, bool):
+        raise CliError("%s must be true or false, got %r" % (key, val))
+    return val
+
+
+def _list(conv, what):
+    def parse(opts, key):
+        text = opts[key]
+        try:
+            return tuple(conv(tok) for tok in str(text).split(","))
+        except ValueError:
+            raise CliError("%s must be a comma-separated %s list, got %r"
+                           % (key, what, text)) from None
+    return parse
 
 
 def _parse_fixed(opts, key) -> dict:
@@ -117,39 +149,9 @@ def _parse_fixed(opts, key) -> dict:
         raise CliError("--fixed value must be an integer") from None
 
 
-def _as(conv):
-    def parse(opts, key):
-        try:
-            return conv(opts[key])
-        except TypeError:  # a JSON list or object from a config file
-            raise CliError("%s must be %s, got %r"
-                           % (key, "an integer" if conv is int else "a number",
-                              opts[key])) from None
-    return parse
-
-
-def _optional(parse):
-    return lambda opts, key: None if opts[key] is None else parse(opts, key)
-
-
-_int = _as(int)
-_float = _as(float)
-_maybe_int = _optional(_int)
-_maybe_float = _optional(_float)
-NULLABLE = (_maybe_int, _maybe_float)  # parses that read null
-
-
-def _path(opts, key) -> str:
-    """A path option; a number would name a file descriptor to open()."""
-    path = opts[key]
-    if not isinstance(path, str):
-        raise CliError("%s must be a string" % key)
-    return path
-
-
 def _check_out_dir(opts) -> None:
     """Fail before any work is done, not when the first output is written."""
-    path = _path(opts, "out_dir")
+    path = opts["out_dir"]
     if not os.path.isdir(path):
         code = errno.ENOTDIR if os.path.exists(path) else errno.ENOENT
         raise OSError(code, os.strerror(code), path)
@@ -165,31 +167,32 @@ class Opt:
     """One option of a subcommand.
 
     `key` is its --config key and, with dashes for underscores, its flag.
-    An option with a `field` fills that field of the subcommand's config
-    dataclass through `parse(opts, key)` (by default the argparse type, or
-    str); unless a flag or the config file sets it, the dataclass default
-    applies.  Any other option starts at `default`.  A JSON null in the
-    config file means "unset" for an option whose `parse` is in NULLABLE
-    and is rejected for any other.  The remaining keywords go to
-    add_argument.
+    `parse(opts, key)` (by default a string check) is the one place its
+    value, a flag's string or a config file's JSON value, is converted and
+    checked.  An option with a `field` fills that field of the
+    subcommand's config dataclass; unless a flag or the config file sets
+    it, the dataclass default applies.  Any other option starts at
+    `default`.  A JSON null in the config file means "unset" for an option
+    whose `parse` is in NULLABLE and is rejected for any other.  The
+    remaining keywords go to add_argument.
     """
 
-    def __init__(self, key, default=None, field=None, parse=None, **spec):
+    def __init__(self, key, default=None, field=None, parse=_str, **spec):
         self.key = key
         self.default = default
         self.field = field
-        self.parse = parse or _as(spec.get("type", str))
+        self.parse = parse
         self.spec = spec
 
 
 def _fields(opts, table) -> dict:
     """Config-dataclass keyword arguments from the table's set options."""
-    return {o.field: o.parse(opts, o.key) for o in table
+    return {o.field: opts[o.key] for o in table
             if o.field is not None and o.key in opts}
 
 
 def _merged(args, table) -> dict:
-    """flags > config-file keys > defaults."""
+    """Typed values of the set options: flags > config-file keys > defaults."""
     opts = {o.key: o.default for o in table if o.field is None}
     if args.config:
         with open(args.config) as fh:
@@ -207,30 +210,28 @@ def _merged(args, table) -> dict:
         elif o.key in opts and opts[o.key] is None \
                 and o.parse not in NULLABLE:
             raise CliError("config key %s must not be null" % o.key)
-    return opts
+    return {o.key: o.parse(opts, o.key) for o in table if o.key in opts}
 
 
 OUT_DIR = Opt("out_dir", ".", help="directory for output files (default .)")
 
 SYNTH = (
     OUT_DIR,
-    Opt("n", 64, type=int),
-    Opt("s", 3, type=int),
-    Opt("r", 4, type=int),
-    Opt("seed", 0, type=int),
-    Opt("distribution", "gaussian", choices=DISTRIBUTIONS),
-    Opt("snr", parse=_maybe_float, type=float,
-        help="add noise to X.csv at this SNR"),
-    Opt("delta", parse=_maybe_float, type=float,
-        help="minimum wraparound separation"),
+    Opt("n", 64, parse=_positive_int),
+    Opt("s", 3, parse=_positive_int),
+    Opt("r", 4, parse=_positive_int),
+    Opt("seed", 0, parse=_int),
+    Opt("distribution", "gaussian", parse=_lower, choices=DISTRIBUTIONS),
+    Opt("snr", parse=_maybe_float, help="add noise to X.csv at this SNR"),
+    Opt("delta", parse=_maybe_float, help="minimum wraparound separation"),
     Opt("orient_law", "gaussian", choices=ORIENT_LAWS),
 )
 
 SOLVER = (  # SolverConfig fields
-    Opt("rho", field="rho", type=float,
+    Opt("rho", field="rho", parse=_float,
         help="inverse SVT threshold, relative to unit-RMS data"),
-    Opt("tol", field="tol_rel", type=float),
-    Opt("max_iters", field="max_iters", parse=_positive_int, type=int),
+    Opt("tol", field="tol_rel", parse=_float),
+    Opt("max_iters", field="max_iters", parse=_positive_int),
 )
 
 SOLVE = (
@@ -238,55 +239,56 @@ SOLVE = (
     Opt("model", "model.json", help="problem JSON from synth"),
     Opt("y", "y.csv", help="measurement CSV"),
     *SOLVER,
-    Opt("n1", parse=_maybe_int, type=int, help="override the lift split"),
+    Opt("n1", parse=_maybe_int, help="override the lift split"),
 )
 
 MUSIC = (
     OUT_DIR,
     Opt("x", "X.csv", help="data matrix CSV"),
-    Opt("r", parse=_maybe_int, type=int, help="model order (required)"),
+    Opt("r", parse=_maybe_positive_int, help="model order (required)"),
     Opt("estimator", "vhm", help="vhm, vhm:K (first K rows), single "
         "(first row) or mmv (default vhm)"),
-    Opt("grid_step", GRID_STEP, type=float),
-    Opt("n1", parse=_maybe_int, type=int),
-    Opt("svg", False, action="store_const", const=True,
+    Opt("grid_step", GRID_STEP, parse=_float),
+    Opt("n1", parse=_maybe_int),
+    Opt("svg", False, parse=_bool, action="store_const", const=True,
         help="also write pseudospectrum.svg"),
 )
 
 GRID = (  # PhaseTransitionConfig fields
     Opt("axis1", field="axis1_name"),
-    Opt("values1", field="axis1_values", parse=_int_list),
+    Opt("values1", field="axis1_values", parse=_list(int, "integer")),
     Opt("axis2", field="axis2_name"),
-    Opt("values2", field="axis2_values", parse=_int_list),
+    Opt("values2", field="axis2_values", parse=_list(int, "integer")),
     Opt("fixed", field="fixed", parse=_parse_fixed,
         help="remaining parameter, e.g. n=64"),
-    Opt("trials", field="trials", parse=_positive_int, type=int),
-    Opt("threshold", field="threshold", type=float),
-    Opt("seed", field="base_seed", type=int),
-    Opt("distribution", field="distribution", choices=DISTRIBUTIONS),
-    Opt("delta", field="delta", parse=_maybe_float, type=float),
+    Opt("trials", field="trials", parse=_positive_int),
+    Opt("threshold", field="threshold", parse=_float),
+    Opt("seed", field="base_seed", parse=_int),
+    Opt("distribution", field="distribution", parse=_lower,
+        choices=DISTRIBUTIONS),
+    Opt("delta", field="delta", parse=_maybe_float),
     Opt("orient_law", field="orient_law", choices=ORIENT_LAWS),
 )
 
-THREADS = Opt("threads", 1, type=int)
+THREADS = Opt("threads", 1, parse=_positive_int)
 
 PHASE = (OUT_DIR, *GRID, *SOLVER, THREADS)
 
 SWEEP = (  # SweepConfig fields, then threads
     OUT_DIR,
-    Opt("n", field="n", parse=_positive_int, type=int),
-    Opt("s", field="s", parse=_positive_int, type=int),
-    Opt("r", field="r", parse=_positive_int, type=int),
-    Opt("snr", field="snr_db", parse=_float_list,
+    Opt("n", field="n", parse=_positive_int),
+    Opt("s", field="s", parse=_positive_int),
+    Opt("r", field="r", parse=_positive_int),
+    Opt("snr", field="snr_db", parse=_list(float, "number"),
         help="comma list of SNR dB values (inf allowed)"),
-    Opt("estimators", field="estimators", parse=_str_list,
+    Opt("estimators", field="estimators", parse=_list(str, "string"),
         help="comma list from vhm, vhm:K, single, mmv"),
-    Opt("trials", field="trials", parse=_positive_int, type=int),
-    Opt("delta", field="delta", parse=_maybe_float, type=float),
+    Opt("trials", field="trials", parse=_positive_int),
+    Opt("delta", field="delta", parse=_maybe_float),
     Opt("orient_law", field="orient_law", choices=ORIENT_LAWS),
     Opt("metric", field="metric", choices=("plain", "wraparound")),
-    Opt("grid_step", field="grid_step", type=float),
-    Opt("seed", field="base_seed", type=int),
+    Opt("grid_step", field="grid_step", parse=_float),
+    Opt("seed", field="base_seed", parse=_int),
     THREADS,
 )
 
@@ -294,20 +296,17 @@ SWEEP = (  # SweepConfig fields, then threads
 # ---------------------------------------------------------------- commands
 
 def cmd_synth(opts) -> int:
-    n = _positive_int(opts, "n")
-    s = _positive_int(opts, "s")
-    r = _positive_int(opts, "r")
+    n, s, r, seed = opts["n"], opts["s"], opts["r"], opts["seed"]
     if n < s:
         raise CliError("need n >= s, got n=%d s=%d" % (n, s))
-    seed = _int(opts, "seed")
-    distribution = str(opts["distribution"]).lower()
+    distribution = opts["distribution"]
     rng = np.random.default_rng(seed)
-    model = sample_model(r, s, seed=rng, delta=_maybe_float(opts, "delta"),
-                         orient_law=str(opts["orient_law"]))
+    model = sample_model(r, s, seed=rng, delta=opts["delta"],
+                         orient_law=opts["orient_law"])
     B = sample_subspace(distribution, n, s, seed=rng)
     X = synthesize_data_matrix(model, n)
     y = apply_measurement(X, B)
-    snr = _maybe_float(opts, "snr")
+    snr = opts["snr"]
     X_out = X if snr is None else add_noise(X, snr, seed=rng)
     diag = incoherence_diagnostic(model, LiftShape.default(n, s))
     save_problem(_out(opts, "model.json"), model, B, distribution, seed)
@@ -319,13 +318,13 @@ def cmd_synth(opts) -> int:
 
 
 def cmd_solve(opts) -> int:
-    _, B = load_problem(_path(opts, "model"))
+    _, B = load_problem(opts["model"])
     n, s = B.shape
-    y = io.read_complex_vector_csv(_path(opts, "y"))
+    y = io.read_complex_vector_csv(opts["y"])
     if y.shape[0] != n:
         raise CliError("measurement length %d does not match the sensing "
                        "matrix (%d rows)" % (y.shape[0], n))
-    shape = LiftShape.default(n, s, _maybe_int(opts, "n1"))
+    shape = LiftShape.default(n, s, opts["n1"])
     report = solve_vhl(y, B, shape, SolverConfig(**_fields(opts, SOLVER)))
     save_report(_out(opts, "report.json"), report)
     io.write_complex_matrix_csv(_out(opts, "Xhat.csv"), report.X_hat)
@@ -339,11 +338,10 @@ def cmd_solve(opts) -> int:
 def cmd_music(opts) -> int:
     if opts["r"] is None:
         raise CliError("--r (model order) is required")
-    r = _positive_int(opts, "r")
-    estimator = str(opts["estimator"])
-    X = io.read_complex_matrix_csv(_path(opts, "x"))
-    u_perp = noise_subspace(X, r, estimator, _maybe_int(opts, "n1"))
-    curve = pseudospectrum(u_perp, _float(opts, "grid_step"))
+    r, estimator = opts["r"], opts["estimator"]
+    X = io.read_complex_matrix_csv(opts["x"])
+    u_perp = noise_subspace(X, r, estimator, opts["n1"])
+    curve = pseudospectrum(u_perp, opts["grid_step"])
     peaks = pick_peaks(curve, r)
     sources = recover_amplitudes(X, peaks.taus)
     save_pseudospectrum_csv(_out(opts, "pseudospectrum.csv"), curve)
@@ -366,7 +364,7 @@ def cmd_phase_transition(opts) -> int:
     config = PhaseTransitionConfig(**_fields(opts, GRID),
                                    solver=SolverConfig(**_fields(opts,
                                                                  SOLVER)))
-    grid = run_phase_transition(config, workers=_positive_int(opts, "threads"),
+    grid = run_phase_transition(config, workers=opts["threads"],
                                 progress=_stderr_progress)
     grid_to_csv(grid, _out(opts, "grid.csv"))
     grid_to_svg(grid, _out(opts, "grid.svg"))
@@ -378,7 +376,7 @@ def cmd_phase_transition(opts) -> int:
 
 def cmd_snr_sweep(opts) -> int:
     config = SweepConfig(**_fields(opts, SWEEP))
-    result = run_snr_sweep(config, workers=_positive_int(opts, "threads"),
+    result = run_snr_sweep(config, workers=opts["threads"],
                            progress=_stderr_progress)
     sweep_to_csv(result, _out(opts, "sweep.csv"))
     sweep_to_svg(result, _out(opts, "sweep.svg"))

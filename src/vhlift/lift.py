@@ -100,18 +100,16 @@ def _check_lifted(Z, shape):
 
 
 def vec_hankel_adjoint(Z: np.ndarray, shape: LiftShape) -> np.ndarray:
-    """Adjoint of the lift: column i of the output sums blocks with j + k = i."""
+    """Adjoint of the lift: column i of the output sums blocks with j + k = i.
+
+    A scatter-add through the lift's gather index; np.add.at adds the
+    entries of Z in row-major order, so each column sums its blocks in
+    order of j, as a loop of += over j would.
+    """
     Z = _check_lifted(Z, shape)
-    blocks = Z.reshape(shape.n1, shape.s, shape.n2)
-    dtype = np.result_type(Z.dtype, np.float64)
-    # spread[:, j, j:j + n2] = blocks[j] through one sheared view, then
-    # sum over j in order, as a loop of += over j would
-    spread = np.zeros((shape.s, shape.n1, shape.n), dtype=dtype)
-    st0, st1, st2 = spread.strides
-    sheared = np.ndarray((shape.s, shape.n1, shape.n2), dtype=dtype,
-                         buffer=spread, strides=(st0, st1 + st2, st2))
-    sheared[...] = blocks.transpose(1, 0, 2)
-    return spread.sum(axis=1)
+    out = np.zeros(shape.s * shape.n, dtype=np.result_type(Z, np.float64))
+    np.add.at(out, _gather_index(shape).ravel(), Z.ravel())
+    return out.reshape(shape.s, shape.n)
 
 
 def iso_lift(X: np.ndarray, shape: LiftShape) -> np.ndarray:

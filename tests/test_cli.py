@@ -614,6 +614,19 @@ def test_config_file_errors(tmp_path, capsys):
     ("solve", {"rank_cap": 2}, "unknown config keys: rank_cap"),
     ("phase-transition", {"rank_cap": None},
      "unknown config keys: rank_cap"),
+    # a JSON float is no integer and true/false no number, as for the flags
+    ("synth", {"n": 64.9}, "n must be an integer"),
+    ("synth", {"seed": 7.8}, "seed must be an integer"),
+    ("synth", {"n": 64.0}, "n must be an integer"),
+    ("phase-transition", {"trials": 1.5}, "trials must be an integer"),
+    ("phase-transition", {"threads": 2.7}, "threads must be an integer"),
+    ("phase-transition", {"threshold": True}, "threshold must be a number"),
+    ("solve", {"max_iters": 10.5}, "max_iters must be an integer"),
+    ("solve", {"rho": False}, "rho must be a number"),
+    ("music", {"svg": "no"}, "svg must be true or false"),
+    ("music", {"svg": 1}, "svg must be true or false"),
+    # an integer no float can hold is no number either
+    ("solve", {"rho": 10 ** 400}, "rho must be a number"),
 ])
 def test_config_value_of_wrong_type_or_removed_key(tmp_path, monkeypatch, capsys, command,
                                     doc, message):
@@ -630,6 +643,29 @@ def test_config_value_of_wrong_type_or_removed_key(tmp_path, monkeypatch, capsys
     assert err.startswith("error: %s" % message)
     assert err.count("\n") == 1
     assert not any(out.iterdir())
+
+
+def test_flag_value_parsed_like_config_value(tmp_path, capsys):
+    # a flag's string goes through its option's parse, not argparse's type
+    for argv, message in ((("synth", "--n", "x"), "n must be an integer, "
+                           "got 'x'"),
+                          (("synth", "--n", "64.0"), "n must be an integer, "
+                           "got '64.0'"),
+                          (("solve", "--rho", "x"), "rho must be a number, "
+                           "got 'x'")):
+        assert run_cli(*argv, "--out-dir", tmp_path) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert not any(tmp_path.iterdir())
+    # and a config file's string as the flag's
+    flag, config = tmp_path / "flag", tmp_path / "config"
+    flag.mkdir()
+    config.mkdir()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": "64"}))
+    assert run_cli("synth", "--n", 64, "--out-dir", flag) == 0
+    assert run_cli("synth", "--config", cfg, "--out-dir", config) == 0
+    assert (flag / "model.json").read_bytes() == \
+        (config / "model.json").read_bytes()
 
 
 CONFIG_KEYS = {
