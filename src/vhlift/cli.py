@@ -213,6 +213,10 @@ def _merged(args, table) -> dict:
     return {o.key: o.parse(opts, o.key) for o in table if o.key in opts}
 
 
+# the library checks these values, for a flag and a config file alike
+DISTRIBUTION_HELP = "one of %s, in any letter case" % ", ".join(DISTRIBUTIONS)
+ORIENT_LAW_HELP = "one of %s" % ", ".join(ORIENT_LAWS)
+
 OUT_DIR = Opt("out_dir", ".", help="directory for output files (default .)")
 
 SYNTH = (
@@ -221,10 +225,10 @@ SYNTH = (
     Opt("s", 3, parse=_positive_int),
     Opt("r", 4, parse=_positive_int),
     Opt("seed", 0, parse=_int),
-    Opt("distribution", "gaussian", parse=_lower, choices=DISTRIBUTIONS),
+    Opt("distribution", "gaussian", parse=_lower, help=DISTRIBUTION_HELP),
     Opt("snr", parse=_maybe_float, help="add noise to X.csv at this SNR"),
     Opt("delta", parse=_maybe_float, help="minimum wraparound separation"),
-    Opt("orient_law", "gaussian", choices=ORIENT_LAWS),
+    Opt("orient_law", "gaussian", help=ORIENT_LAW_HELP),
 )
 
 SOLVER = (  # SolverConfig fields
@@ -265,9 +269,9 @@ GRID = (  # PhaseTransitionConfig fields
     Opt("threshold", field="threshold", parse=_float),
     Opt("seed", field="base_seed", parse=_int),
     Opt("distribution", field="distribution", parse=_lower,
-        choices=DISTRIBUTIONS),
+        help=DISTRIBUTION_HELP),
     Opt("delta", field="delta", parse=_maybe_float),
-    Opt("orient_law", field="orient_law", choices=ORIENT_LAWS),
+    Opt("orient_law", field="orient_law", help=ORIENT_LAW_HELP),
 )
 
 THREADS = Opt("threads", 1, parse=_positive_int)
@@ -285,8 +289,8 @@ SWEEP = (  # SweepConfig fields, then threads
         help="comma list from vhm, vhm:K, single, mmv"),
     Opt("trials", field="trials", parse=_positive_int),
     Opt("delta", field="delta", parse=_maybe_float),
-    Opt("orient_law", field="orient_law", choices=ORIENT_LAWS),
-    Opt("metric", field="metric", choices=("plain", "wraparound")),
+    Opt("orient_law", field="orient_law", help=ORIENT_LAW_HELP),
+    Opt("metric", field="metric", help="one of plain, wraparound"),
     Opt("grid_step", field="grid_step", parse=_float),
     Opt("seed", field="base_seed", parse=_int),
     THREADS,

@@ -81,14 +81,17 @@ def _gather_index(shape: LiftShape) -> np.ndarray:
     return idx
 
 
-def vec_hankel(X: np.ndarray, shape: LiftShape) -> np.ndarray:
+def vec_hankel(X: np.ndarray, shape: LiftShape,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Lift an s x n matrix to the (s*n1) x n2 block-Hankel matrix.
 
     Block (j, k), i.e. rows j*s..(j+1)*s-1 of column k, equals column
-    j + k of X.
+    j + k of X.  With out, the lift is written there and out is returned.
     """
     X = _check_data(X, shape)
-    return X.ravel().take(_gather_index(shape))
+    # the index is in range by construction; mode="clip" lets take write
+    # into out directly, where the default mode stages a copy first
+    return np.take(X.ravel(), _gather_index(shape), out=out, mode="clip")
 
 
 def _check_lifted(Z, shape):

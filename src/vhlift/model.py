@@ -205,16 +205,15 @@ def sample_subspace(distribution: str, n: int, s: int,
     """
     if not n >= s >= 1:
         raise ValueError("need n >= s >= 1")
+    check_distribution(distribution)
     tag = distribution.lower()
     rng = np.random.default_rng(seed)
     if tag == "gaussian":
         return rng.standard_normal((n, s)).astype(np.complex128)
     if tag == "rademacher":
         return (2.0 * rng.integers(0, 2, size=(n, s)) - 1.0).astype(np.complex128)
-    if tag == "dftrows":
-        p = rng.integers(0, n, size=n)
-        return np.exp(-2j * np.pi * np.outer(p, np.arange(s)) / n)
-    raise ValueError("unsupported distribution %r" % (distribution,))
+    p = rng.integers(0, n, size=n)  # dftrows
+    return np.exp(-2j * np.pi * np.outer(p, np.arange(s)) / n)
 
 
 def synthesize_data_matrix(model: PointSourceModel, n: int) -> np.ndarray:

@@ -428,8 +428,7 @@ def test_phase_transition_rejects_s_above_n(tmp_path, capsys):
 
 
 def test_config_file_sampling_laws_checked_before_trials(tmp_path, capsys):
-    # a config file bypasses the flags' choices; an unknown law is an input
-    # error, not a trial that failed to recover
+    # an unknown law is an input error, not a trial that failed to recover
     out = tmp_path / "out"
     out.mkdir()
     grid = ("phase-transition", "--values1", 1, "--values2", 1,
@@ -453,6 +452,48 @@ def test_config_file_sampling_laws_checked_before_trials(tmp_path, capsys):
     # any letter case names a distribution, as it does for synth
     cfg.write_text(json.dumps({"distribution": "DFTROWS"}))
     assert run_cli(*grid, "--config", cfg, "--out-dir", out) == 0
+
+
+@pytest.mark.parametrize("argv,key", [
+    (("synth",), "distribution"),
+    (("synth",), "orient_law"),
+    (("phase-transition", "--values1", 1, "--values2", 1, "--fixed", "n=8",
+      "--trials", 2), "distribution"),
+    (("phase-transition", "--values1", 1, "--values2", 1, "--fixed", "n=8",
+      "--trials", 2), "orient_law"),
+    (("snr-sweep", "--n", 16, "--s", 2, "--r", 2, "--trials", 2,
+      "--estimators", "vhm:1"), "orient_law"),
+    (("snr-sweep", "--n", 16, "--s", 2, "--r", 2, "--trials", 2,
+      "--estimators", "vhm:1"), "metric"),
+])
+def test_bad_flag_value_reported_like_config_value(tmp_path, capsys, argv,
+                                                   key):
+    # one check, the library's, for a flag and a config file alike
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: "x"}))
+    flag = "--" + key.replace("_", "-")
+    assert run_cli(*argv, flag, "x", "--out-dir", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s must be " % key)
+    assert err.count("\n") == 1
+    assert run_cli(*argv, "--config", cfg, "--out-dir", out) == 2
+    assert capsys.readouterr().err == err
+    assert not any(out.iterdir())
+
+
+def test_distribution_flag_takes_any_letter_case(tmp_path):
+    flag, config = tmp_path / "flag", tmp_path / "config"
+    flag.mkdir()
+    config.mkdir()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"distribution": "DFTROWS"}))
+    assert run_cli("synth", "--distribution", "DFTROWS", "--out-dir",
+                   flag) == 0
+    assert run_cli("synth", "--config", cfg, "--out-dir", config) == 0
+    assert (flag / "model.json").read_bytes() == \
+        (config / "model.json").read_bytes()
 
 
 def test_missing_out_dir_found_before_any_work(tmp_path, capsys):
