@@ -259,10 +259,11 @@ def test_report_round_trip_dict():
 
 # ---------------------------------------------------------------- plain ADMM
 
-def unscaled_admm(y, B, shape, rho):
+def unscaled_admm(y, B, shape, rho, max_iters=5000):
     """The plain ADMM loop in the unscaled-dual form, Lam / rho formed in
-    each update, kept frozen as the reference whose minimiser solve_vhl's
-    accelerated loop must reach (s >= 2, default max_iters and tol_rel)."""
+    each update, kept frozen as the reference whose iterates solve_vhl's
+    plain step follows and whose minimiser its accelerated loop must reach
+    (s >= 2, default tol_rel)."""
     B = np.asarray(B, dtype=np.complex128)
     row_sq = np.sum(np.abs(B) ** 2, axis=1)
     peak = float(np.max(np.abs(y)))
@@ -278,7 +279,7 @@ def unscaled_admm(y, B, shape, rho):
     Z = vec_hankel(X, shape)
     Lam = np.zeros_like(Z)
     converged = False
-    for it in range(1, 5001):
+    for it in range(1, max_iters + 1):
         scaled_dual = Lam / rho
         M = vec_hankel_adjoint(Z + scaled_dual, shape) / w
         X_new = project_feasible(M)
@@ -295,6 +296,36 @@ def unscaled_admm(y, B, shape, rho):
             converged = True
             break
     return c * X, it, converged
+
+
+class _PlainStep:
+    """Stands in for the Anderson mixer: every step is the plain map,
+    A <- T(A) = A + f."""
+
+    def __init__(self, size):
+        pass
+
+    def advance(self, A, f, f_norm):
+        A += f
+
+
+@pytest.mark.parametrize("s", [2, 3, 8])
+def test_scaled_dual_matches_unscaled_form(s, monkeypatch):
+    # with the mixing off, solve_vhl's loop is the plain ADMM in the scaled
+    # dual, run as its Douglas-Rachford map on A = HX - U; its X iterates
+    # are the unscaled form's one step on, since the reference's first step
+    # returns the feasible start
+    monkeypatch.setattr(solver, "_AndersonMixer", _PlainStep)
+    _, B, X, y = _instance(32, s, 2, seed=40 + s)
+    shape = LiftShape.default(32, s)
+    for rho in (1.0, 0.5):
+        for k in (1, 20, 50):
+            X_ref, _, converged = unscaled_admm(y, B, shape, rho,
+                                                max_iters=k + 1)
+            rep = solve_vhl(y, B, shape, SolverConfig(rho=rho, max_iters=k))
+            assert not converged and not rep.converged and rep.iters == k
+            assert np.linalg.norm(rep.X_hat - X_ref) \
+                <= 1e-12 * np.linalg.norm(X_ref)
 
 
 @pytest.mark.parametrize("rho", [0.5, 1.0])
