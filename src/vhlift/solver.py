@@ -102,8 +102,7 @@ class SolveReport:
     dual_history: np.ndarray | None = field(default=None, repr=False)
 
 
-def svt(M: np.ndarray, threshold: float,
-        out: np.ndarray | None = None) -> np.ndarray:
+def svt(M: np.ndarray, threshold: float) -> np.ndarray:
     """Singular value soft-thresholding, the proximal map of the nuclear norm.
 
     Computed from the eigendecomposition of the Gram matrix on the smaller
@@ -114,8 +113,7 @@ def svt(M: np.ndarray, threshold: float,
     small square P, or, when fewer than half the values are kept, by the
     thin V_k and then by diag((sigma - tau) / sigma) V_k^H, whichever is
     fewer flops.  Its error relative to a full SVD grows like
-    eps * sigma_max / tau.  With out, the result is written there and out
-    is returned.
+    eps * sigma_max / tau.
     """
     if not threshold >= 0:
         raise ValueError("threshold must be nonnegative")
@@ -127,11 +125,9 @@ def svt(M: np.ndarray, threshold: float,
     Vk = V[:, keep]
     W = Vk * ((sig[keep] - threshold) / sig[keep])
     if 2 * Vk.shape[1] < len(V):
-        if wide:
-            return np.matmul(W, Vk.conj().T @ M, out=out)
-        return np.matmul(M @ Vk, W.conj().T, out=out)
+        return W @ (Vk.conj().T @ M) if wide else (M @ Vk) @ W.conj().T
     P = W @ Vk.conj().T
-    return np.matmul(P, M, out=out) if wide else np.matmul(M, P, out=out)
+    return P @ M if wide else M @ P
 
 
 def nuclear_norm(M: np.ndarray) -> float:
@@ -182,7 +178,7 @@ class _AndersonMixer:
 
     def advance(self, A: np.ndarray, f: np.ndarray, f_norm: float) -> None:
         """Move A in place to the next point, given f = T(A) - A and its
-        norm; f's buffer is overwritten."""
+        norm."""
         dF, dG, Fr, gram = self.dF, self.dG, self.Fr, self.gram
         last = self.slot
         cur = self.slot = (last + 1) % len(dF)
@@ -210,10 +206,7 @@ class _AndersonMixer:
             np.subtract(dF[cur], mix.view(np.complex64), out=step)
         else:
             step[:] = dF[cur]
-        # f's buffer is free now and takes the step, so that A is updated
-        # in complex128: a complex64 operand would stage a cast buffer
-        f[...] = step.reshape(f.shape)
-        A += f
+        A += step.reshape(A.shape)
 
 
 def solve_vhl(y: np.ndarray, B: np.ndarray, shape: LiftShape,
@@ -237,6 +230,10 @@ def solve_vhl(y: np.ndarray, B: np.ndarray, shape: LiftShape,
         raise ValueError("sensing matrix must be n x s for the given shape")
     if y.shape[0] != shape.n:
         raise ValueError("measurement vector must have length n")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("measurement vector y has a nan or inf entry")
+    if not np.all(np.isfinite(B)):
+        raise ValueError("sensing matrix B has a nan or inf entry")
     row_sq = np.sum(np.abs(B) ** 2, axis=1)
     if np.any(row_sq == 0.0):
         raise ValueError("sensing matrix has a zero row; that measurement "
@@ -271,31 +268,23 @@ def solve_vhl(y: np.ndarray, B: np.ndarray, shape: LiftShape,
             hist_p, hist_d = [primal], [dual]
     else:
         A = vec_hankel(X, shape)   # HX - U with U = 0
-        Z = np.empty_like(A)
-        U = np.empty_like(A)
         mixer = _AndersonMixer(A.size)
         primal = np.inf
         dual = np.inf
         it = 0
         converged = False
         for it in range(1, config.max_iters + 1):
-            svt(A, inv_rho, out=Z)
-            np.subtract(Z, A, out=U)
-            u_norm = _fro(U)
-            U += Z
-            M = vec_hankel_adjoint(U, shape)
-            M /= w
-            X_new = project_feasible(M)
-            # U is free once Z + U is adjointed, so it takes HX, and Z
-            # takes the residual f = T(A) - A = HX - Z
-            HX = vec_hankel(X_new, shape, out=U)
-            f = np.subtract(HX, Z, out=Z)
+            Z = svt(A, inv_rho)
+            U = Z - A
+            X_new = project_feasible(vec_hankel_adjoint(Z + U, shape) / w)
+            HX = vec_hankel(X_new, shape)
+            f = HX - Z
             f_norm = _fro(f)
 
             primal = f_norm / max(1.0, _fro(HX))
             # rho ||vec_hankel(dX)||_F / max(1, ||Lam||_F) written in U,
             # with the lift's norm from the diagonal weighting
-            dual = _fro((X_new - X) * sqrt_w) / max(inv_rho, u_norm)
+            dual = _fro((X_new - X) * sqrt_w) / max(inv_rho, _fro(U))
             X = X_new
             if keep_history:
                 hist_p.append(primal)

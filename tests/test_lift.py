@@ -6,6 +6,7 @@ with them, not the other way round.
 """
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -310,6 +311,21 @@ def test_gather_index_cached_read_only_per_shape():
     # a matrix that is not C-contiguous lifts the same
     np.testing.assert_array_equal(vec_hankel(np.asfortranarray(X), shape),
                                   lift_by_loops(X, shape))
+
+
+def test_vec_hankel_allocates_only_its_result():
+    # the cached index is read-only, and the lift must read it as it is:
+    # np.take would copy it on every call (67,584 B more at this shape)
+    shape = LiftShape.default(64, 8)
+    X = crandn(np.random.default_rng(7), 8, 64)
+    vec_hankel(X, shape)  # builds and caches the index
+    tracemalloc.start()
+    try:
+        Z = vec_hankel(X, shape)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= Z.nbytes + 4096
 
 
 def test_gather_index_shared_across_threads():

@@ -73,10 +73,6 @@ def test_svt_matches_svd_reference():
         M = with_singular_values(rng, rows, cols, sig)
         assert_close(svt(M, 1.0), svt_by_svd(M, 1.0))
         assert_close(svt(M.conj().T, 1.0), svt_by_svd(M.conj().T, 1.0))
-        # with out, the same values land in the caller's buffer
-        out = np.empty_like(M)
-        assert svt(M, 1.0, out=out) is out
-        assert np.array_equal(out, svt(M, 1.0))
     # rank-deficient: rank 5 of 33, kept whole and thresholded
     M = with_singular_values(rng, 96, 33, np.array([9.0, 7.0, 5.0, 3.0, 1.0]))
     for threshold in (0.0, 0.5, 4.0):
@@ -227,6 +223,7 @@ def test_single_row_returns_the_feasible_start():
     assert np.linalg.norm(rep.X_hat - X) / np.linalg.norm(X) < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
 def test_solver_error_paths():
     shape = LiftShape.default(8, 2)
     B = sample_subspace("gaussian", 8, 2, seed=1)
@@ -237,6 +234,17 @@ def test_solver_error_paths():
         solve_vhl(np.zeros(7), sample_subspace("gaussian", 8, 2, seed=1), shape)
     with pytest.raises(ValueError):
         solve_vhl(np.zeros(8), sample_subspace("gaussian", 9, 2, seed=1), shape)
+    # a nan or inf is named before it reaches eigh, with no warning on the way
+    _, B, X, y = _instance(16, 2, 2, seed=0)
+    shape = LiftShape.default(16, 2)
+    for bad in (np.full(16, np.nan), np.r_[np.inf, y[1:]],
+                np.r_[np.nan, y[1:]]):
+        with pytest.raises(ValueError, match="measurement vector y"):
+            solve_vhl(bad, B, shape)
+    B_bad = B.copy()
+    B_bad[0, 0] = np.nan
+    with pytest.raises(ValueError, match="sensing matrix B"):
+        solve_vhl(y, B_bad, shape)
 
 
 def test_nonconvergence_reported_not_raised():
@@ -309,15 +317,21 @@ class _PlainStep:
         A += f
 
 
-@pytest.mark.parametrize("s", [2, 3, 8])
-def test_scaled_dual_matches_unscaled_form(s, monkeypatch):
+# s and n1 of each lift; n1 = None is the near-square split, whose lifts
+# are tall, and n1 = 8 gives a wide 16 x 25 lift, svt's other branch
+LIFTS = [pytest.param(2, None, id="2"), pytest.param(3, None, id="3"),
+         pytest.param(8, None, id="8"), pytest.param(2, 8, id="2-n1=8")]
+
+
+@pytest.mark.parametrize("s, n1", LIFTS)
+def test_scaled_dual_matches_unscaled_form(s, n1, monkeypatch):
     # with the mixing off, solve_vhl's loop is the plain ADMM in the scaled
     # dual, run as its Douglas-Rachford map on A = HX - U; its X iterates
     # are the unscaled form's one step on, since the reference's first step
     # returns the feasible start
     monkeypatch.setattr(solver, "_AndersonMixer", _PlainStep)
     _, B, X, y = _instance(32, s, 2, seed=40 + s)
-    shape = LiftShape.default(32, s)
+    shape = LiftShape.default(32, s, n1)
     for rho in (1.0, 0.5):
         for k in (1, 20, 50):
             X_ref, _, converged = unscaled_admm(y, B, shape, rho,
@@ -329,10 +343,10 @@ def test_scaled_dual_matches_unscaled_form(s, monkeypatch):
 
 
 @pytest.mark.parametrize("rho", [0.5, 1.0])
-@pytest.mark.parametrize("s", [2, 3, 8])
-def test_accelerated_loop_reaches_plain_admm_minimiser(s, rho):
+@pytest.mark.parametrize("s, n1", LIFTS)
+def test_accelerated_loop_reaches_plain_admm_minimiser(s, n1, rho):
     _, B, X, y = _instance(32, s, 2, seed=40 + s)
-    shape = LiftShape.default(32, s)
+    shape = LiftShape.default(32, s, n1)
     X_ref, iters, converged = unscaled_admm(y, B, shape, rho)
     rep = solve_vhl(y, B, shape, SolverConfig(rho=rho))
     assert rep.converged == converged
