@@ -138,8 +138,9 @@ class PhaseTransitionConfig:
             raise ValueError("grid parameters must be positive")
         if self.trials < 1:
             raise ValueError("need at least one trial per cell")
-        if not self.threshold > 0:
-            raise ValueError("threshold must be positive")
+        if not 0 < self.threshold < np.inf:
+            raise ValueError("threshold must be positive and finite, got %r"
+                             % (self.threshold,))
         check_distribution(self.distribution)
         check_orient_law(self.orient_law)
         values = {name: (v,) for name, v in self.fixed.items()}

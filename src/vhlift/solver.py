@@ -78,19 +78,23 @@ class SolverConfig:
     tol_rel: float = 1e-7
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
-        if not self.tol_rel > 0:
-            raise ValueError("tol_rel must be positive")
+        # rho = inf makes the SVT threshold 0, and tol_rel = inf stops
+        # the solve at its first iterate
+        if not (0 < self.rho < math.inf and 1 / self.rho < math.inf):
+            raise ValueError("rho must be positive and finite, with a finite "
+                             "inverse, got %r" % (self.rho,))
+        if not 0 < self.tol_rel < math.inf:
+            raise ValueError("tol_rel must be positive and finite, got %r"
+                             % (self.tol_rel,))
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
 
 @dataclass
 class SolveReport:
-    """Solver outcome: the iterate, residuals at exit, and the objective.
-    iters counts evaluations of the fixed-point map (one SVT each),
-    rejected Anderson points included."""
+    """Solver outcome: the iterate, residuals at exit and after each
+    evaluation, and the objective.  iters counts evaluations of the
+    fixed-point map (one SVT each), rejected Anderson points included."""
 
     X_hat: np.ndarray
     iters: int
@@ -98,8 +102,8 @@ class SolveReport:
     dual_residual: float
     nuclear_norm: float
     converged: bool
-    primal_history: np.ndarray | None = field(default=None, repr=False)
-    dual_history: np.ndarray | None = field(default=None, repr=False)
+    primal_history: np.ndarray = field(repr=False)
+    dual_history: np.ndarray = field(repr=False)
 
 
 def svt(M: np.ndarray, threshold: float) -> np.ndarray:
@@ -146,32 +150,26 @@ class _AndersonMixer:
     """Safeguarded type-II Anderson mixing for a fixed-point map T.
 
     Given A and its residual f = T(A) - A, advance() moves A in place to
-    T(A) - dG gamma, where the columns of dF and dG are the last differences
+    T(A) - dG gamma, where the rows of dF and dG are the last differences
     of f and of T between successive points, and gamma is the least-squares
     fit min ||f - dF gamma|| over real coefficients (Walker & Ni 2011).  If
     a mixed point's ||f|| exceeds the previous point's, the history is
     dropped and A takes the plain step T(A).
 
-    The history is complex64, in a ring of ANDERSON_DEPTH + 1 slots: each
-    slot holds one pair of differences, except the newest, which holds f of
-    the last point until its pair completes.  The differences only steer
-    the step; A itself stays complex128, so the precision of the fixed
-    point is kept.
+    The history is ANDERSON_DEPTH complex64 rows each of dF and dG, filled
+    from row 0 after a drop and then in turn, so the rows below
+    min(pairs, ANDERSON_DEPTH) are the current pairs; the fit does not
+    depend on their order.  The differences only steer the step; A itself
+    stays complex128, so the precision of the fixed point is kept.
     """
 
     def __init__(self, size: int):
-        slots = ANDERSON_DEPTH + 1
-        self.dF = np.zeros((slots, size), dtype=np.complex64)
+        self.dF = np.zeros((ANDERSON_DEPTH, size), dtype=np.complex64)
         self.dG = np.zeros_like(self.dF)
-        self.Fr = self.dF.view(np.float32)  # real inner products of rows
-        self.Gr = self.dG.view(np.float32)
-        self.gram = np.zeros((slots, slots))  # of the dF rows, kept current
-        self.coef = np.zeros(slots, dtype=np.float32)
-        # the history slots before each newest slot, newest first
-        self.order = [(cur - 1 - np.arange(ANDERSON_DEPTH)) % slots
-                      for cur in range(slots)]
-        self.slot = 0          # newest slot: f of the last point
-        self.pairs = 0         # completed pairs in the history
+        self.gram = np.zeros((ANDERSON_DEPTH, ANDERSON_DEPTH))  # of dF rows
+        self.f = np.zeros(size, dtype=np.complex64)  # f at the last point
+        self.step = np.zeros_like(self.f)            # the step taken from it
+        self.pairs = 0         # pairs formed since the last drop
         self.started = False   # a last point exists
         self.mixed = False     # the current point was mixed
         self.f_norm = np.inf   # ||f|| at the last point
@@ -179,39 +177,36 @@ class _AndersonMixer:
     def advance(self, A: np.ndarray, f: np.ndarray, f_norm: float) -> None:
         """Move A in place to the next point, given f = T(A) - A and its
         norm."""
-        dF, dG, Fr, gram = self.dF, self.dG, self.Fr, self.gram
-        last = self.slot
-        cur = self.slot = (last + 1) % len(dF)
-        dF[cur] = f.ravel()
-        if self.started:
-            # dG[last] holds the step from the last point, so adding dF
-            # gives the difference of T
-            np.subtract(dF[cur], dF[last], out=dF[last])
-            dG[last] += dF[last]
-            gram[last] = gram[:, last] = Fr @ Fr[last]
-            self.pairs = min(self.pairs + 1, ANDERSON_DEPTH)
+        dF, dG, gram = self.dF, self.dG, self.gram
+        F = dF.view(np.float32)  # real inner products of the rows
         if self.mixed and f_norm > self.f_norm:
             self.pairs = 0
-        self.started, self.mixed, self.f_norm = True, self.pairs > 0, f_norm
-        step = dG[cur]
-        if self.pairs:
-            rows = self.order[cur][:self.pairs]
-            G = gram[rows][:, rows]
+        elif self.started:
+            # f is rounded to complex64 before the difference is taken; the
+            # difference of T is the step from the last point plus that of f
+            row = self.pairs % ANDERSON_DEPTH
+            dF[row] = f.ravel()
+            dF[row] -= self.f
+            np.add(self.step, dF[row], out=dG[row])
+            gram[row] = gram[:, row] = F @ F[row]
+            self.pairs += 1
+        self.f[:] = f.ravel()
+        self.step[:] = self.f
+        k = min(self.pairs, ANDERSON_DEPTH)
+        self.started, self.mixed, self.f_norm = True, k > 0, f_norm
+        if k:
+            G = gram[:k, :k].copy()
             # a small ridge keeps the fit well posed when the differences
             # are (nearly) dependent, or all zero
-            G.flat[::self.pairs + 1] += 1e-10 * G.trace() + 1e-300
-            self.coef[rows] = np.linalg.solve(G, (Fr @ Fr[cur])[rows])
-            mix = self.coef @ self.Gr
-            self.coef[rows] = 0.0
-            np.subtract(dF[cur], mix.view(np.complex64), out=step)
-        else:
-            step[:] = dF[cur]
-        A += step.reshape(A.shape)
+            G.flat[::k + 1] += 1e-10 * G.trace() + 1e-300
+            gamma = np.linalg.solve(G, F[:k] @ self.f.view(np.float32))
+            mix = gamma.astype(np.float32) @ dG.view(np.float32)[:k]
+            self.step -= mix.view(np.complex64)
+        A += self.step.reshape(A.shape)
 
 
 def solve_vhl(y: np.ndarray, B: np.ndarray, shape: LiftShape,
-              config: SolverConfig | None = None,
-              keep_history: bool = False) -> SolveReport:
+              config: SolverConfig | None = None) -> SolveReport:
     """Recover the data matrix from scalar measurements by ADMM.
 
     Every X iterate satisfies the measurement constraint exactly, so the
@@ -258,17 +253,15 @@ def solve_vhl(y: np.ndarray, B: np.ndarray, shape: LiftShape,
     # least-norm feasible start
     X = project_feasible(np.zeros((shape.s, shape.n), dtype=np.complex128))
 
-    hist_p = []
-    hist_d = []
     if shape.s == 1:
         # each measurement fixes its column, so the start is the only
         # feasible point and hence the minimiser
         it, primal, dual, converged = 1, 0.0, 0.0, True
-        if keep_history:
-            hist_p, hist_d = [primal], [dual]
+        hist_p, hist_d = [primal], [dual]
     else:
         A = vec_hankel(X, shape)   # HX - U with U = 0
         mixer = _AndersonMixer(A.size)
+        hist_p, hist_d = [], []
         primal = np.inf
         dual = np.inf
         it = 0
@@ -286,9 +279,8 @@ def solve_vhl(y: np.ndarray, B: np.ndarray, shape: LiftShape,
             # with the lift's norm from the diagonal weighting
             dual = _fro((X_new - X) * sqrt_w) / max(inv_rho, _fro(U))
             X = X_new
-            if keep_history:
-                hist_p.append(primal)
-                hist_d.append(dual)
+            hist_p.append(primal)
+            hist_d.append(dual)
             if primal <= config.tol_rel and dual <= config.tol_rel:
                 converged = True
                 break
@@ -302,8 +294,8 @@ def solve_vhl(y: np.ndarray, B: np.ndarray, shape: LiftShape,
         dual_residual=float(dual),
         nuclear_norm=nuclear_norm(vec_hankel(X_hat, shape)),
         converged=converged,
-        primal_history=np.array(hist_p) if keep_history else None,
-        dual_history=np.array(hist_d) if keep_history else None,
+        primal_history=np.array(hist_p),
+        dual_history=np.array(hist_d),
     )
 
 

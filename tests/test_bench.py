@@ -128,6 +128,8 @@ def test_phase_config_validation():
         small_phase_config(axis1_values=())
     with pytest.raises(ValueError, match="delta must be a number, got nan"):
         small_phase_config(delta=float("nan"))
+    with pytest.raises(ValueError, match="threshold must be .* got inf"):
+        small_phase_config(threshold=float("inf"))
     # the largest r of the grid must fit at the separation, on an axis or
     # fixed; the smaller r of the grid would fit
     place = "cannot place 2 frequencies with separation 0.6 on the circle"

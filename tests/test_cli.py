@@ -534,6 +534,22 @@ def test_non_finite_snr_and_delta_rejected(tmp_path, capsys):
         assert run_cli(*argv, "--out-dir", out) == 2
         assert capsys.readouterr().err == \
             "error: separation delta must be a number, got nan\n"
+    # an infinite tolerance, SVT inverse threshold or success threshold
+    # would make every solve or trial pass
+    model, _, y = synth_files(tmp_path)
+    solve = ("solve", "--model", model, "--y", y)
+    for argv, message in (
+            ((*solve, "--tol", "inf"), "tol_rel must be positive and finite"),
+            ((*solve, "--rho", "inf"), "rho must be positive and finite"),
+            (("phase-transition", "--values1", 1, "--values2", 2, "--fixed",
+              "n=16", "--trials", 1, "--threshold", "inf"),
+             "threshold must be positive and finite")):
+        capsys.readouterr()
+        assert run_cli(*argv, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s" % message) and err.endswith(
+            "got inf\n")
+        assert len(err.splitlines()) == 1  # no trial ran
     assert not any(out.iterdir())
 
 

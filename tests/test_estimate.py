@@ -328,6 +328,12 @@ def test_recover_flags_and_errors():
         recover_amplitudes(X, [0.3, 0.3])
     with pytest.raises(ValueError):
         recover_amplitudes(np.ones((1, 2)), [0.1, 0.2, 0.3])
+    # a zero column of W has amplitude 0 and orientation e_0
+    src = recover_amplitudes(np.zeros((3, 64)), [0.1, 0.4])
+    np.testing.assert_array_equal(src.amps_hat, [0.0, 0.0])
+    e0 = np.zeros((3, 2), dtype=complex)
+    e0[0] = 1.0
+    np.testing.assert_array_equal(src.orients_hat, e0)
 
 
 def test_sources_serialization():

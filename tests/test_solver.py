@@ -115,6 +115,12 @@ def test_config_validation():
         SolverConfig(tol_rel=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
+    # rho = inf would make the SVT threshold 0, and 1e-310 its inverse inf
+    for rho in (np.inf, np.nan, 1e-310):
+        with pytest.raises(ValueError, match="rho must be .* got %r" % rho):
+            SolverConfig(rho=rho)
+    with pytest.raises(ValueError, match="tol_rel must be .* got inf"):
+        SolverConfig(tol_rel=np.inf)
 
 
 # ---------------------------------------------------------------- solve
@@ -167,7 +173,7 @@ def test_solution_always_feasible():
 
 def test_merit_windows_catch_divergence_not_transients():
     _, B, X, y = _instance(64, 3, 4, seed=5)
-    rep = solve_vhl(y, B, LiftShape.default(64, 3), keep_history=True)
+    rep = solve_vhl(y, B, LiftShape.default(64, 3))
     merit = np.maximum(rep.primal_history, rep.dual_history)
     # the solve must outlast the skipped start, or no window is checked
     assert len(merit) >= 80
@@ -215,8 +221,7 @@ def test_single_row_returns_the_feasible_start():
     model = sample_model(4, 1, seed=rng)
     B = sample_subspace("gaussian", 32, 1, seed=rng)
     X = synthesize_data_matrix(model, 32)
-    rep = solve_vhl(apply_measurement(X, B), B, LiftShape.default(32, 1),
-                    keep_history=True)
+    rep = solve_vhl(apply_measurement(X, B), B, LiftShape.default(32, 1))
     assert rep.iters == 1 and rep.converged
     assert rep.primal_residual == 0.0 and rep.dual_residual == 0.0
     assert len(rep.primal_history) == len(rep.dual_history) == 1
@@ -253,6 +258,9 @@ def test_nonconvergence_reported_not_raised():
     assert not rep.converged
     assert rep.iters == 3
     assert max(rep.primal_residual, rep.dual_residual) > 1e-7
+    assert len(rep.primal_history) == rep.iters == 3
+    assert rep.primal_history[-1] == rep.primal_residual
+    assert rep.dual_history[-1] == rep.dual_residual
 
 
 def test_report_round_trip_dict():
@@ -352,6 +360,62 @@ def test_accelerated_loop_reaches_plain_admm_minimiser(s, n1, rho):
     assert rep.converged == converged
     assert np.linalg.norm(rep.X_hat - X_ref) <= 1e-6 * np.linalg.norm(X_ref)
     assert rep.iters < iters
+
+
+def type2_anderson_step(points, images, depth):
+    """The float64 type-II Anderson step from the last of `points`, with
+    images[k] = T(points[k]): the least-squares fit of the last f over
+    real coefficients on the last `depth` differences of f and of T."""
+    f = [t - a for a, t in zip(points, images)]
+    k = min(len(points) - 1, depth)
+    if k == 0:
+        return images[-1]
+    dF = np.stack([f[i + 1] - f[i] for i in range(-k - 1, -1)], axis=1)
+    dG = np.stack([images[i + 1] - images[i] for i in range(-k - 1, -1)],
+                  axis=1)
+    gamma = np.linalg.lstsq(np.vstack([dF.real, dF.imag]),
+                            np.r_[f[-1].real, f[-1].imag], rcond=None)[0]
+    return images[-1] - dG @ gamma
+
+
+def test_anderson_mixer_matches_float64_type2_step():
+    # an affine contraction T(a) = M a + b with ||M||_2 = 0.95, driven for
+    # 14 steps, so the 3-pair history wraps more than twice; each next
+    # point is the type-II step over the pairs since the last drop
+    rng = np.random.default_rng(17)
+    size = 40
+    Q, _ = np.linalg.qr(rng.standard_normal((size, size))
+                        + 1j * rng.standard_normal((size, size)))
+    lam = rng.uniform(0.3, 0.95, size) * np.exp(2j * np.pi * rng.random(size))
+    lam[0] = 0.95
+    M = (Q * lam) @ Q.conj().T
+    b = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    mixer = solver._AndersonMixer(size)
+    A = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    points, images = [], []
+    last_norm, mixed, fits = np.inf, False, []
+    for step in range(14):
+        T = M @ A + b
+        f_norm = np.linalg.norm(T - A)
+        if step == 8:
+            # a grown residual at a mixed point drops the history
+            assert mixer.mixed
+            f_norm = 10.0 * last_norm
+        points.append(A.copy())
+        images.append(T)
+        if mixed and f_norm > last_norm:
+            points, images = points[-1:], images[-1:]
+        expected = type2_anderson_step(points, images, solver.ANDERSON_DEPTH)
+        mixed, last_norm = len(points) > 1, f_norm
+        fits.append(min(len(points) - 1, solver.ANDERSON_DEPTH))
+        mixer.advance(A, T - A, f_norm)
+        assert mixer.mixed == mixed
+        assert min(mixer.pairs, solver.ANDERSON_DEPTH) == fits[-1]
+        assert np.linalg.norm(A - expected) \
+            <= 1e-5 * np.linalg.norm(expected - points[-1])
+    # the forced drop at step 8 takes the plain step, and the fits after
+    # it use only the new pairs
+    np.testing.assert_array_equal(fits[7:12], [3, 0, 1, 2, 3])
 
 
 def test_safeguard_restart_still_converges_feasible(monkeypatch):
