@@ -7,15 +7,33 @@ import numpy as np
 import pytest
 
 from vhlift import cli, io
-from vhlift.bench import estimate_frequencies, hausdorff_distance
+from vhlift.bench import (
+    PhaseTransitionConfig,
+    SweepConfig,
+    SweepResult,
+    TrialGrid,
+    estimate_frequencies,
+    grid_to_csv,
+    hausdorff_distance,
+    sweep_to_csv,
+)
+from vhlift.estimate import (
+    PseudospectrumCurve,
+    RecoveredSources,
+    save_pseudospectrum_csv,
+    sources_to_dict,
+)
 from vhlift.model import (
+    PointSourceModel,
     apply_measurement,
     load_problem,
+    save_problem,
     sample_model,
     sample_subspace,
     synthesize_data_matrix,
     wraparound_gap,
 )
+from vhlift.solver import SolveReport, save_report
 
 
 def run_cli(*argv):
@@ -76,6 +94,92 @@ def test_csv_error_paths(tmp_path):
     path.write_text("re_a,im_a,re_b,im_b\n1,2,3,4\n")
     with pytest.raises(ValueError):
         io.read_complex_vector_csv(path)
+
+
+def _pairs_json(key, pairs, last=False):
+    """The indent=1 JSON text of a top-level key holding [re, im] pairs."""
+    items = ",\n".join("  [\n   %s,\n   %s\n  ]" % p for p in pairs)
+    return ' "%s": [\n%s\n ]%s\n' % (key, items, "" if last else ",")
+
+
+def test_artifact_bytes_pinned(tmp_path):
+    # hand-built inputs with exactly representable floats, so no solver or
+    # BLAS rounding reaches the bytes; SVGs are left to the smoke tests
+    inf = float("inf")
+    orients = np.array([[1, 0], [0, 1j]])
+    X = np.array([[1.5, -2j, 0.125], [0, 3 + 0.75j, -1]])
+    model = PointSourceModel(taus=[0.25, 0.5], amps=[2 - 0.5j, -1.25 + 3j],
+                             orients=orients)
+    save_problem(tmp_path / "model.json", model,
+                 np.array([[1, -0.5j], [0.25, 2], [-1, 1 + 1j]]),
+                 "gaussian", 7)
+    save_report(tmp_path / "report.json", SolveReport(
+        X_hat=X, iters=12, primal_residual=0.125, dual_residual=0.0625,
+        nuclear_norm=3.5, converged=False, primal_history=np.array([0.125]),
+        dual_history=np.array([0.0625])))
+    sources = RecoveredSources(
+        taus_hat=np.array([0.25, 0.5]), amps_hat=np.array([2.0, 1.5]),
+        orients_hat=orients, residual=0.5, ill_conditioned=False)
+    io.write_json(tmp_path / "sources.json",
+                  {**sources_to_dict(sources), "estimator": "vhm",
+                   "padded_peaks": True})
+    save_pseudospectrum_csv(
+        tmp_path / "pseudospectrum.csv",
+        PseudospectrumCurve(grid=np.array([0.0, 0.25, 0.5, 0.75]),
+                            values=np.array([1.0, inf, 0.5, 2.0])))
+    grid_to_csv(TrialGrid(
+        config=PhaseTransitionConfig(axis1_values=(1, 2), axis2_values=(2,),
+                                     fixed={"n": 8}, trials=2),
+        errors=np.array([[[0.0, inf]], [[0.0, 0.0]]])),
+        tmp_path / "grid.csv")
+    sweep_to_csv(SweepResult(
+        config=SweepConfig(n=16, s=2, r=2, snr_db=(inf, 20.0),
+                           estimators=("vhm:1", "mmv"), trials=2),
+        errors=np.array([[[0.0, 0.5], [0.25, 0.75]],
+                         [[0.125, 0.125], [1.0, 2.0]]])),
+        tmp_path / "sweep.csv")
+    io.write_complex_matrix_csv(tmp_path / "X.csv", X)
+    io.write_complex_vector_csv(tmp_path / "y.csv",
+                                np.array([1 - 1j, 0.5, -2j]))
+
+    orients_pairs = [("1.0", "0.0"), ("0.0", "0.0"), ("0.0", "0.0"),
+                     ("0.0", "1.0")]
+    expected = {
+        "model.json":
+            '{\n "n": 3,\n "s": 2,\n "r": 2,\n'
+            ' "taus": [\n  0.25,\n  0.5\n ],\n'
+            + _pairs_json("amps", [("2.0", "-0.5"), ("-1.25", "3.0")])
+            + _pairs_json("orients", orients_pairs)
+            + _pairs_json("B", [("1.0", "0.0"), ("0.25", "0.0"),
+                                ("-1.0", "0.0"), ("-0.0", "-0.5"),
+                                ("2.0", "0.0"), ("1.0", "1.0")])
+            + ' "distribution": "gaussian",\n "seed": 7\n}\n',
+        "report.json":
+            '{\n "s": 2,\n "n": 3,\n "iters": 12,\n'
+            ' "primal_residual": 0.125,\n "dual_residual": 0.0625,\n'
+            ' "nuclear_norm": 3.5,\n "converged": false,\n'
+            + _pairs_json("X_hat", [("1.5", "0.0"), ("0.0", "0.0"),
+                                    ("-0.0", "-2.0"), ("3.0", "0.75"),
+                                    ("0.125", "0.0"), ("-1.0", "0.0")],
+                          last=True)
+            + '}\n',
+        "sources.json":
+            '{\n "taus_hat": [\n  0.25,\n  0.5\n ],\n'
+            ' "amps_hat": [\n  2.0,\n  1.5\n ],\n'
+            + _pairs_json("orients_hat", orients_pairs)
+            + ' "s": 2,\n "r": 2,\n "residual": 0.5,\n'
+            ' "ill_conditioned": false,\n "estimator": "vhm",\n'
+            ' "padded_peaks": true\n}\n',
+        "pseudospectrum.csv": "tau,f\n0.0,1.0\n0.25,inf\n0.5,0.5\n0.75,2.0\n",
+        "grid.csv": "r,s,count\n1,2,1\n2,2,2\n",
+        "sweep.csv": "snr,estimator,mean_error\ninf,vhm:1,0.25\ninf,mmv,"
+                     "0.125\n20,vhm:1,0.5\n20,mmv,1.5\n",
+        "X.csv": "re_c0,im_c0,re_c1,im_c1,re_c2,im_c2\n"
+                 "1.5,0.0,-0.0,-2.0,0.125,0.0\n0.0,0.0,3.0,0.75,-1.0,0.0\n",
+        "y.csv": "re_y,im_y\n1.0,-1.0\n0.5,0.0\n-0.0,-2.0\n",
+    }
+    for name, text in expected.items():
+        assert (tmp_path / name).read_text() == text, name
 
 
 # ------------------------------------------------------------------- synth
