@@ -21,11 +21,9 @@ from .model import (
     apply_measurement_adjoint,
     build_vandermonde_factors,
     incoherence_diagnostic,
-    load_problem,
     noise_sigma,
     sample_model,
     sample_subspace,
-    save_problem,
     steering_matrix,
     synthesize_data_matrix,
     wraparound_gap,
@@ -34,7 +32,6 @@ from .solver import (
     SolveReport,
     SolverConfig,
     nuclear_norm,
-    save_report,
     solve_vhl,
     svt,
 )
@@ -46,7 +43,6 @@ from .estimate import (
     pick_peaks,
     pseudospectrum,
     recover_amplitudes,
-    save_pseudospectrum_csv,
 )
 from .bench import (
     PhaseTransitionConfig,
@@ -54,14 +50,10 @@ from .bench import (
     SweepResult,
     TrialGrid,
     estimate_frequencies,
-    grid_to_csv,
-    grid_to_svg,
     hausdorff_distance,
     relative_error,
     run_phase_transition,
     run_snr_sweep,
-    sweep_to_csv,
-    sweep_to_svg,
 )
 
 __version__ = "0.1.0"

@@ -39,7 +39,6 @@ from .estimate import (
     pick_peaks,
     pseudospectrum,
 )
-from .figures import heatmap_svg, sweep_svg
 from .lift import LiftShape
 from .model import (
     add_noise,
@@ -63,10 +62,6 @@ __all__ = [
     "hausdorff_distance",
     "run_phase_transition",
     "run_snr_sweep",
-    "grid_to_csv",
-    "grid_to_svg",
-    "sweep_to_csv",
-    "sweep_to_svg",
 ]
 
 
@@ -380,47 +375,3 @@ def run_snr_sweep(config: SweepConfig, workers: int = 1,
     for (si, t), vals in _run_tasks(tasks, runner, workers, progress):
         errors[:, si, t] = vals
     return SweepResult(config=config, errors=errors)
-
-
-# ---------------------------------------------------------------- output
-
-def grid_to_csv(grid: TrialGrid, path) -> None:
-    cfg = grid.config
-    counts = grid.counts
-    lines = ["%s,%s,count" % (cfg.axis1_name, cfg.axis2_name)]
-    for i, v1 in enumerate(cfg.axis1_values):
-        for j, v2 in enumerate(cfg.axis2_values):
-            lines.append("%d,%d,%d" % (v1, v2, counts[i, j]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def grid_to_svg(grid: TrialGrid, path) -> None:
-    cfg = grid.config
-    fixed = ", ".join("%s=%d" % kv for kv in sorted(cfg.fixed.items()))
-    title = "successful recoveries out of %d trials (%s)" \
-        % (cfg.trials, fixed)
-    svg = heatmap_svg(cfg.axis1_name, cfg.axis1_values, cfg.axis2_name,
-                      cfg.axis2_values, grid.counts, cfg.trials, title)
-    with open(path, "w") as fh:
-        fh.write(svg)
-
-
-def sweep_to_csv(result: SweepResult, path) -> None:
-    cfg = result.config
-    me = result.mean_errors
-    lines = ["snr,estimator,mean_error"]
-    for si, snr in enumerate(cfg.snr_db):
-        for e, est in enumerate(cfg.estimators):
-            lines.append("%g,%s,%r" % (snr, est, float(me[e, si])))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def sweep_to_svg(result: SweepResult, path) -> None:
-    cfg = result.config
-    title = "mean frequency error vs SNR (n=%d, s=%d, r=%d, %d trials)" \
-        % (cfg.n, cfg.s, cfg.r, cfg.trials)
-    svg = sweep_svg(cfg.snr_db, cfg.estimators, result.mean_errors, title)
-    with open(path, "w") as fh:
-        fh.write(svg)

@@ -24,12 +24,8 @@ from . import io
 from .bench import (
     PhaseTransitionConfig,
     SweepConfig,
-    grid_to_csv,
-    grid_to_svg,
     run_phase_transition,
     run_snr_sweep,
-    sweep_to_csv,
-    sweep_to_svg,
 )
 from .estimate import (
     GRID_STEP,
@@ -37,10 +33,7 @@ from .estimate import (
     pick_peaks,
     pseudospectrum,
     recover_amplitudes,
-    save_pseudospectrum_csv,
-    sources_to_dict,
 )
-from .figures import curve_svg
 from .lift import LiftShape
 from .model import (
     DISTRIBUTIONS,
@@ -48,13 +41,11 @@ from .model import (
     add_noise,
     apply_measurement,
     incoherence_diagnostic,
-    load_problem,
     sample_model,
     sample_subspace,
-    save_problem,
     synthesize_data_matrix,
 )
-from .solver import SolverConfig, save_report, solve_vhl
+from .solver import SolverConfig, solve_vhl
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -313,7 +304,7 @@ def cmd_synth(opts) -> int:
     snr = opts["snr"]
     X_out = X if snr is None else add_noise(X, snr, seed=rng)
     diag = incoherence_diagnostic(model, LiftShape.default(n, s))
-    save_problem(_out(opts, "model.json"), model, B, distribution, seed)
+    io.write_problem(_out(opts, "model.json"), model, B, distribution, seed)
     io.write_complex_matrix_csv(_out(opts, "X.csv"), X_out)
     io.write_complex_vector_csv(_out(opts, "y.csv"), y)
     print("synth: n=%d s=%d r=%d dist=%s mu1=%.4g -> model.json X.csv y.csv"
@@ -322,7 +313,7 @@ def cmd_synth(opts) -> int:
 
 
 def cmd_solve(opts) -> int:
-    _, B = load_problem(opts["model"])
+    _, B = io.read_problem(opts["model"])
     n, s = B.shape
     y = io.read_complex_vector_csv(opts["y"])
     if y.shape[0] != n:
@@ -330,7 +321,7 @@ def cmd_solve(opts) -> int:
                        "matrix (%d rows)" % (y.shape[0], n))
     shape = LiftShape.default(n, s, opts["n1"])
     report = solve_vhl(y, B, shape, SolverConfig(**_fields(opts, SOLVER)))
-    save_report(_out(opts, "report.json"), report)
+    io.write_report(_out(opts, "report.json"), report)
     io.write_complex_matrix_csv(_out(opts, "Xhat.csv"), report.X_hat)
     print("solve: %s in %d iters, primal %.3e, dual %.3e, nuclear norm %.6g"
           % ("converged" if report.converged else "stopped",
@@ -348,15 +339,12 @@ def cmd_music(opts) -> int:
     curve = pseudospectrum(u_perp, opts["grid_step"])
     peaks = pick_peaks(curve, r)
     sources = recover_amplitudes(X, peaks.taus)
-    save_pseudospectrum_csv(_out(opts, "pseudospectrum.csv"), curve)
-    io.write_json(_out(opts, "sources.json"),
-                  {**sources_to_dict(sources), "estimator": estimator,
-                   "padded_peaks": peaks.padded})
+    io.write_pseudospectrum_csv(_out(opts, "pseudospectrum.csv"), curve)
+    io.write_sources(_out(opts, "sources.json"), sources, estimator,
+                     peaks.padded)
     if opts["svg"]:
-        svg = curve_svg(curve.grid, curve.values, peaks=peaks.taus,
-                        title="pseudospectrum (%s, r=%d)" % (estimator, r))
-        with open(_out(opts, "pseudospectrum.svg"), "w") as fh:
-            fh.write(svg)
+        io.write_pseudospectrum_svg(_out(opts, "pseudospectrum.svg"), curve,
+                                    peaks.taus, estimator)
     print("music: estimator=%s taus_hat=%s residual=%.3e"
           % (estimator,
              " ".join("%.6f" % t for t in np.sort(sources.taus_hat)),
@@ -370,8 +358,8 @@ def cmd_phase_transition(opts) -> int:
                                                                  SOLVER)))
     grid = run_phase_transition(config, workers=opts["threads"],
                                 progress=_stderr_progress)
-    grid_to_csv(grid, _out(opts, "grid.csv"))
-    grid_to_svg(grid, _out(opts, "grid.svg"))
+    io.write_grid_csv(_out(opts, "grid.csv"), grid)
+    io.write_grid_svg(_out(opts, "grid.svg"), grid)
     cells = len(config.axis1_values) * len(config.axis2_values)
     print("phase-transition: %d cells x %d trials -> grid.csv grid.svg"
           % (cells, config.trials))
@@ -382,8 +370,8 @@ def cmd_snr_sweep(opts) -> int:
     config = SweepConfig(**_fields(opts, SWEEP))
     result = run_snr_sweep(config, workers=opts["threads"],
                            progress=_stderr_progress)
-    sweep_to_csv(result, _out(opts, "sweep.csv"))
-    sweep_to_svg(result, _out(opts, "sweep.svg"))
+    io.write_sweep_csv(_out(opts, "sweep.csv"), result)
+    io.write_sweep_svg(_out(opts, "sweep.svg"), result)
     print("snr-sweep: %d SNR levels x %d estimators x %d trials -> "
           "sweep.csv sweep.svg" % (len(config.snr_db),
                                    len(config.estimators), config.trials))

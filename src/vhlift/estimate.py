@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import io
 from .lift import LiftShape, vec_hankel
 from .model import steering_matrix
 
@@ -37,8 +36,6 @@ __all__ = [
     "pseudospectrum",
     "pick_peaks",
     "recover_amplitudes",
-    "sources_to_dict",
-    "save_pseudospectrum_csv",
 ]
 
 COND_LIMIT = 1e12  # least-squares steering matrices beyond this are flagged
@@ -240,25 +237,3 @@ def recover_amplitudes(X: np.ndarray, taus_hat) -> RecoveredSources:
     return RecoveredSources(taus_hat=taus_hat, amps_hat=amps,
                             orients_hat=orients, residual=residual,
                             ill_conditioned=bool(cond > COND_LIMIT))
-
-
-# ----------------------------------------------------------- serialization
-
-def sources_to_dict(src: RecoveredSources) -> dict:
-    return {
-        "taus_hat": [float(t) for t in src.taus_hat],
-        "amps_hat": [float(a) for a in src.amps_hat],
-        "orients_hat": io.complex_to_pairs(src.orients_hat),
-        "s": int(src.orients_hat.shape[0]),
-        "r": int(src.orients_hat.shape[1]),
-        "residual": src.residual,
-        "ill_conditioned": src.ill_conditioned,
-    }
-
-
-def save_pseudospectrum_csv(path, curve: PseudospectrumCurve) -> None:
-    lines = ["tau,f"]
-    for t, f in zip(curve.grid, curve.values):
-        lines.append("%r,%r" % (float(t), float(f)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

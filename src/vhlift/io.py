@@ -1,5 +1,5 @@
-"""File formats shared by the library and the CLI: complex CSV files, the
-[re, im] JSON codec for complex matrices, and the JSON file writer.
+"""Every artifact file the library and the CLI write or read, in the
+formats FORMATS.md lists; the computing modules open no file.
 
 CSV convention: a complex column named <name> occupies two adjacent CSV
 columns re_<name>, im_<name>.  Matrices are written one data-matrix row per
@@ -19,6 +19,9 @@ import math
 
 import numpy as np
 
+from .figures import curve_svg, heatmap_svg, sweep_svg
+from .model import PointSourceModel
+
 __all__ = [
     "write_complex_matrix_csv",
     "read_complex_matrix_csv",
@@ -27,11 +30,30 @@ __all__ = [
     "complex_to_pairs",
     "pairs_to_complex",
     "write_json",
+    "write_problem",
+    "read_problem",
+    "write_report",
+    "write_sources",
+    "write_pseudospectrum_csv",
+    "write_pseudospectrum_svg",
+    "write_grid_csv",
+    "write_grid_svg",
+    "write_sweep_csv",
+    "write_sweep_svg",
 ]
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _write_text(path, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _write_lines(path, lines) -> None:
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_complex_matrix_csv(path, M: np.ndarray) -> None:
@@ -41,8 +63,7 @@ def write_complex_matrix_csv(path, M: np.ndarray) -> None:
     for row in M:
         lines.append(",".join("%s,%s" % (_fmt(z.real), _fmt(z.imag))
                               for z in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def _parse_pair_header(tokens):
@@ -86,8 +107,7 @@ def write_complex_vector_csv(path, v: np.ndarray) -> None:
     lines = ["re_y,im_y"]
     for z in v:
         lines.append("%s,%s" % (_fmt(z.real), _fmt(z.imag)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_complex_vector_csv(path) -> np.ndarray:
@@ -113,6 +133,131 @@ def pairs_to_complex(pairs, rows: int, cols: int) -> np.ndarray:
 
 def write_json(path, doc: dict) -> None:
     """Write doc as JSON with one-space indentation and a final newline."""
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_text(path, json.dumps(doc, indent=1) + "\n")
+
+
+def write_problem(path, model: PointSourceModel, B: np.ndarray,
+                  distribution: str, seed: int | None) -> None:
+    """model.json: the model and the n x s sensing matrix B, with the law
+    and seed B was drawn from as provenance (never read back)."""
+    n, s = B.shape
+    write_json(path, {
+        "n": n,
+        "s": s,
+        "r": model.r,
+        "taus": [float(t) for t in model.taus],
+        "amps": complex_to_pairs(model.amps),
+        "orients": complex_to_pairs(model.orients),
+        "B": complex_to_pairs(B),
+        "distribution": distribution,
+        "seed": seed,
+    })
+
+
+def read_problem(path) -> tuple[PointSourceModel, np.ndarray]:
+    """Read a problem file as (model, B), rejecting any non-finite number
+    in it and any field of the wrong JSON type with a ValueError that names
+    the file."""
+    def finite(text):
+        value = float(text)
+        if not np.isfinite(value):
+            raise ValueError("non-finite value in %s" % (path,))
+        return value
+
+    with open(path) as fh:
+        doc = json.load(fh, parse_float=finite, parse_constant=finite)
+    try:
+        n, s, r = int(doc["n"]), int(doc["s"]), int(doc["r"])
+        model = PointSourceModel(
+            taus=np.asarray(doc["taus"], dtype=np.float64),
+            amps=pairs_to_complex(doc["amps"], r, 1).ravel(),
+            orients=pairs_to_complex(doc["orients"], s, r),
+        )
+        return model, pairs_to_complex(doc["B"], n, s)
+    except (TypeError, KeyError) as exc:  # e.g. a null count, flat pairs
+        raise ValueError("malformed problem file %s: %s: %s"
+                         % (path, type(exc).__name__, exc)) from None
+
+
+def write_report(path, report) -> None:
+    """report.json from a solver.SolveReport, without its histories."""
+    s, n = report.X_hat.shape
+    write_json(path, {
+        "s": int(s),
+        "n": int(n),
+        "iters": report.iters,
+        "primal_residual": report.primal_residual,
+        "dual_residual": report.dual_residual,
+        "nuclear_norm": report.nuclear_norm,
+        "converged": report.converged,
+        "X_hat": complex_to_pairs(report.X_hat),
+    })
+
+
+def write_sources(path, sources, estimator: str, padded: bool) -> None:
+    """sources.json from an estimate.RecoveredSources and its peaks."""
+    write_json(path, {
+        "taus_hat": [float(t) for t in sources.taus_hat],
+        "amps_hat": [float(a) for a in sources.amps_hat],
+        "orients_hat": complex_to_pairs(sources.orients_hat),
+        "s": int(sources.orients_hat.shape[0]),
+        "r": int(sources.orients_hat.shape[1]),
+        "residual": sources.residual,
+        "ill_conditioned": sources.ill_conditioned,
+        "estimator": estimator,
+        "padded_peaks": padded,
+    })
+
+
+def write_pseudospectrum_csv(path, curve) -> None:
+    """pseudospectrum.csv from an estimate.PseudospectrumCurve."""
+    lines = ["tau,f"]
+    for t, f in zip(curve.grid, curve.values):
+        lines.append("%r,%r" % (float(t), float(f)))
+    _write_lines(path, lines)
+
+
+def write_pseudospectrum_svg(path, curve, peaks, estimator: str) -> None:
+    _write_text(path, curve_svg(
+        curve.grid, curve.values, peaks=peaks,
+        title="pseudospectrum (%s, r=%d)" % (estimator, len(peaks))))
+
+
+def write_grid_csv(path, grid) -> None:
+    """grid.csv from a bench.TrialGrid."""
+    cfg = grid.config
+    counts = grid.counts
+    lines = ["%s,%s,count" % (cfg.axis1_name, cfg.axis2_name)]
+    for i, v1 in enumerate(cfg.axis1_values):
+        for j, v2 in enumerate(cfg.axis2_values):
+            lines.append("%d,%d,%d" % (v1, v2, counts[i, j]))
+    _write_lines(path, lines)
+
+
+def write_grid_svg(path, grid) -> None:
+    cfg = grid.config
+    fixed = ", ".join("%s=%d" % kv for kv in sorted(cfg.fixed.items()))
+    title = "successful recoveries out of %d trials (%s)" \
+        % (cfg.trials, fixed)
+    _write_text(path, heatmap_svg(
+        cfg.axis1_name, cfg.axis1_values, cfg.axis2_name, cfg.axis2_values,
+        grid.counts, cfg.trials, title))
+
+
+def write_sweep_csv(path, result) -> None:
+    """sweep.csv from a bench.SweepResult."""
+    cfg = result.config
+    me = result.mean_errors
+    lines = ["snr,estimator,mean_error"]
+    for si, snr in enumerate(cfg.snr_db):
+        for e, est in enumerate(cfg.estimators):
+            lines.append("%g,%s,%r" % (snr, est, float(me[e, si])))
+    _write_lines(path, lines)
+
+
+def write_sweep_svg(path, result) -> None:
+    cfg = result.config
+    title = "mean frequency error vs SNR (n=%d, s=%d, r=%d, %d trials)" \
+        % (cfg.n, cfg.s, cfg.r, cfg.trials)
+    _write_text(path, sweep_svg(cfg.snr_db, cfg.estimators,
+                                result.mean_errors, title))

@@ -7,18 +7,15 @@ tau_k j}; each scalar measurement pairs column j with a known sensing row,
 y[j] = B[j, :] X[:, j].  The module provides samplers for the sources and
 for the sensing matrix, the measurement map and its adjoint, the
 Vandermonde-type factorization of the lifted data matrix, noise injection
-at a prescribed SNR, conditioning diagnostics, and JSON serialization.
+at a prescribed SNR, and conditioning diagnostics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import json
-
 import numpy as np
 
-from . import io
 from .lift import LiftShape
 
 __all__ = [
@@ -40,8 +37,6 @@ __all__ = [
     "add_noise",
     "incoherence_diagnostic",
     "wraparound_gap",
-    "save_problem",
-    "load_problem",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -305,48 +300,3 @@ def incoherence_diagnostic(model: PointSourceModel,
     mu_r = shape.n2 / sr if sr > shape.n2 * 1e-12 else np.inf
     return IncoherenceReport(sigma_min_left=sl, sigma_min_right=sr,
                              mu1=float(max(mu_l, mu_r)))
-
-
-# ----------------------------------------------------------- serialization
-
-def save_problem(path, model: PointSourceModel, B: np.ndarray,
-                 distribution: str, seed: int | None) -> None:
-    """Write the model and the n x s sensing matrix B, with the law and
-    seed B was drawn from as provenance (never read back)."""
-    n, s = B.shape
-    io.write_json(path, {
-        "n": n,
-        "s": s,
-        "r": model.r,
-        "taus": [float(t) for t in model.taus],
-        "amps": io.complex_to_pairs(model.amps),
-        "orients": io.complex_to_pairs(model.orients),
-        "B": io.complex_to_pairs(B),
-        "distribution": distribution,
-        "seed": seed,
-    })
-
-
-def load_problem(path) -> tuple[PointSourceModel, np.ndarray]:
-    """Read a problem file as (model, B), rejecting any non-finite number
-    in it and any field of the wrong JSON type with a ValueError that names
-    the file."""
-    def finite(text):
-        value = float(text)
-        if not np.isfinite(value):
-            raise ValueError("non-finite value in %s" % (path,))
-        return value
-
-    with open(path) as fh:
-        doc = json.load(fh, parse_float=finite, parse_constant=finite)
-    try:
-        n, s, r = int(doc["n"]), int(doc["s"]), int(doc["r"])
-        model = PointSourceModel(
-            taus=np.asarray(doc["taus"], dtype=np.float64),
-            amps=io.pairs_to_complex(doc["amps"], r, 1).ravel(),
-            orients=io.pairs_to_complex(doc["orients"], s, r),
-        )
-        return model, io.pairs_to_complex(doc["B"], n, s)
-    except (TypeError, KeyError) as exc:  # e.g. a null count, flat pairs
-        raise ValueError("malformed problem file %s: %s: %s"
-                         % (path, type(exc).__name__, exc)) from None

@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import io
 from .lift import LiftShape, hankel_weights, vec_hankel, vec_hankel_adjoint
 from .model import apply_measurement, apply_measurement_adjoint
 
@@ -61,8 +60,6 @@ __all__ = [
     "svt",
     "nuclear_norm",
     "solve_vhl",
-    "report_to_dict",
-    "save_report",
 ]
 
 
@@ -297,21 +294,3 @@ def solve_vhl(y: np.ndarray, B: np.ndarray, shape: LiftShape,
         primal_history=np.array(hist_p),
         dual_history=np.array(hist_d),
     )
-
-
-def report_to_dict(report: SolveReport) -> dict:
-    s, n = report.X_hat.shape
-    return {
-        "s": int(s),
-        "n": int(n),
-        "iters": report.iters,
-        "primal_residual": report.primal_residual,
-        "dual_residual": report.dual_residual,
-        "nuclear_norm": report.nuclear_norm,
-        "converged": report.converged,
-        "X_hat": io.complex_to_pairs(report.X_hat),
-    }
-
-
-def save_report(path, report: SolveReport) -> None:
-    io.write_json(path, report_to_dict(report))

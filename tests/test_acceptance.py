@@ -12,11 +12,9 @@ from vhlift.bench import (
     PhaseTransitionConfig,
     SweepConfig,
     estimate_frequencies,
-    grid_to_csv,
     hausdorff_distance,
     run_phase_transition,
     run_snr_sweep,
-    sweep_to_csv,
 )
 from vhlift.estimate import (
     noise_subspace,
@@ -24,6 +22,7 @@ from vhlift.estimate import (
     pseudospectrum,
     recover_amplitudes,
 )
+from vhlift.io import write_grid_csv, write_sweep_csv
 from vhlift.lift import (
     LiftShape,
     hankel_weights,
@@ -241,8 +240,8 @@ def test_criterion_09_byte_determinism(tmp_path):
     for tag, workers in (("a", 1), ("b", 1), ("c", 4)):
         gp = tmp_path / ("grid_%s.csv" % tag)
         sp = tmp_path / ("sweep_%s.csv" % tag)
-        grid_to_csv(run_phase_transition(pt, workers=workers), gp)
-        sweep_to_csv(run_snr_sweep(sw, workers=workers), sp)
+        write_grid_csv(gp, run_phase_transition(pt, workers=workers))
+        write_sweep_csv(sp, run_snr_sweep(sw, workers=workers))
         blobs.append((gp.read_bytes(), sp.read_bytes()))
     _verdict(9, "CSV bytes identical across reruns and 1 vs 4 threads",
              blobs[0] == blobs[1] == blobs[2])

@@ -10,20 +10,16 @@ import warnings
 import numpy as np
 import pytest
 
-from vhlift import bench
+from vhlift import bench, io
 from vhlift.bench import (
     PhaseTransitionConfig,
     SweepConfig,
     estimate_frequencies,
-    grid_to_csv,
-    grid_to_svg,
     hausdorff_distance,
     parse_estimator,
     relative_error,
     run_phase_transition,
     run_snr_sweep,
-    sweep_to_csv,
-    sweep_to_svg,
 )
 from vhlift.lift import LiftShape
 from vhlift.model import sample_model, synthesize_data_matrix
@@ -168,8 +164,8 @@ def test_phase_transition_easy_cells_and_determinism(tmp_path):
     np.testing.assert_array_equal(grid.errors, threaded.errors)
 
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    grid_to_csv(grid, p1)
-    grid_to_csv(threaded, p2)
+    io.write_grid_csv(p1, grid)
+    io.write_grid_csv(p2, threaded)
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == "r,s,count"
@@ -305,7 +301,7 @@ def test_phase_transition_progress_lines():
 def test_grid_svg_smoke(tmp_path):
     grid = run_phase_transition(small_phase_config())
     path = tmp_path / "grid.svg"
-    grid_to_svg(grid, path)
+    io.write_grid_svg(path, grid)
     text = path.read_text()
     assert text.startswith("<svg ") and text.rstrip().endswith("</svg>")
     assert 'viewBox="0 0 800 600"' in text
@@ -363,8 +359,8 @@ def test_sweep_runs_and_orders(tmp_path):
     np.testing.assert_array_equal(res.errors, threaded.errors)
 
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    sweep_to_csv(res, p1)
-    sweep_to_csv(threaded, p2)
+    io.write_sweep_csv(p1, res)
+    io.write_sweep_csv(p2, threaded)
     assert p1.read_bytes() == p2.read_bytes()
     lines = p1.read_text().splitlines()
     assert lines[0] == "snr,estimator,mean_error"
@@ -372,6 +368,6 @@ def test_sweep_runs_and_orders(tmp_path):
     assert lines[1].startswith("inf,vhm:1,")
 
     svg = tmp_path / "sweep.svg"
-    sweep_to_svg(res, svg)
+    io.write_sweep_svg(svg, res)
     text = svg.read_text()
     assert text.startswith("<svg ") and "polyline" in text

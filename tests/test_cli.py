@@ -13,27 +13,18 @@ from vhlift.bench import (
     SweepResult,
     TrialGrid,
     estimate_frequencies,
-    grid_to_csv,
     hausdorff_distance,
-    sweep_to_csv,
 )
-from vhlift.estimate import (
-    PseudospectrumCurve,
-    RecoveredSources,
-    save_pseudospectrum_csv,
-    sources_to_dict,
-)
+from vhlift.estimate import PseudospectrumCurve, RecoveredSources
 from vhlift.model import (
     PointSourceModel,
     apply_measurement,
-    load_problem,
-    save_problem,
     sample_model,
     sample_subspace,
     synthesize_data_matrix,
     wraparound_gap,
 )
-from vhlift.solver import SolveReport, save_report
+from vhlift.solver import SolveReport
 
 
 def run_cli(*argv):
@@ -110,34 +101,30 @@ def test_artifact_bytes_pinned(tmp_path):
     X = np.array([[1.5, -2j, 0.125], [0, 3 + 0.75j, -1]])
     model = PointSourceModel(taus=[0.25, 0.5], amps=[2 - 0.5j, -1.25 + 3j],
                              orients=orients)
-    save_problem(tmp_path / "model.json", model,
-                 np.array([[1, -0.5j], [0.25, 2], [-1, 1 + 1j]]),
-                 "gaussian", 7)
-    save_report(tmp_path / "report.json", SolveReport(
+    io.write_problem(tmp_path / "model.json", model,
+                     np.array([[1, -0.5j], [0.25, 2], [-1, 1 + 1j]]),
+                     "gaussian", 7)
+    io.write_report(tmp_path / "report.json", SolveReport(
         X_hat=X, iters=12, primal_residual=0.125, dual_residual=0.0625,
         nuclear_norm=3.5, converged=False, primal_history=np.array([0.125]),
         dual_history=np.array([0.0625])))
     sources = RecoveredSources(
         taus_hat=np.array([0.25, 0.5]), amps_hat=np.array([2.0, 1.5]),
         orients_hat=orients, residual=0.5, ill_conditioned=False)
-    io.write_json(tmp_path / "sources.json",
-                  {**sources_to_dict(sources), "estimator": "vhm",
-                   "padded_peaks": True})
-    save_pseudospectrum_csv(
+    io.write_sources(tmp_path / "sources.json", sources, "vhm", True)
+    io.write_pseudospectrum_csv(
         tmp_path / "pseudospectrum.csv",
         PseudospectrumCurve(grid=np.array([0.0, 0.25, 0.5, 0.75]),
                             values=np.array([1.0, inf, 0.5, 2.0])))
-    grid_to_csv(TrialGrid(
+    io.write_grid_csv(tmp_path / "grid.csv", TrialGrid(
         config=PhaseTransitionConfig(axis1_values=(1, 2), axis2_values=(2,),
                                      fixed={"n": 8}, trials=2),
-        errors=np.array([[[0.0, inf]], [[0.0, 0.0]]])),
-        tmp_path / "grid.csv")
-    sweep_to_csv(SweepResult(
+        errors=np.array([[[0.0, inf]], [[0.0, 0.0]]])))
+    io.write_sweep_csv(tmp_path / "sweep.csv", SweepResult(
         config=SweepConfig(n=16, s=2, r=2, snr_db=(inf, 20.0),
                            estimators=("vhm:1", "mmv"), trials=2),
         errors=np.array([[[0.0, 0.5], [0.25, 0.75]],
-                         [[0.125, 0.125], [1.0, 2.0]]])),
-        tmp_path / "sweep.csv")
+                         [[0.125, 0.125], [1.0, 2.0]]])))
     io.write_complex_matrix_csv(tmp_path / "X.csv", X)
     io.write_complex_vector_csv(tmp_path / "y.csv",
                                 np.array([1 - 1j, 0.5, -2j]))
@@ -217,7 +204,7 @@ def test_synth_matches_library_calls(tmp_path):
     io.write_complex_vector_csv(d2 / "y.csv", apply_measurement(X, B))
     assert (d1 / "X.csv").read_bytes() == (d2 / "X.csv").read_bytes()
     assert (d1 / "y.csv").read_bytes() == (d2 / "y.csv").read_bytes()
-    saved_model, saved_B = load_problem(d1 / "model.json")
+    saved_model, saved_B = io.read_problem(d1 / "model.json")
     assert np.array_equal(saved_model.taus, model.taus)
     assert np.array_equal(saved_B, B)
     doc = json.loads((d1 / "model.json").read_text())
@@ -226,7 +213,7 @@ def test_synth_matches_library_calls(tmp_path):
 
 def test_synth_noise_flag_perturbs_x_only(tmp_path):
     model_path, x_path, y_path = synth_files(tmp_path, "--snr", 20)
-    model, B = load_problem(model_path)
+    model, B = io.read_problem(model_path)
     X_clean = synthesize_data_matrix(model, 64)
     X_noisy = io.read_complex_matrix_csv(x_path)
     assert not np.array_equal(X_noisy, X_clean)
@@ -250,7 +237,7 @@ def test_synth_feasible_separation_never_fails(tmp_path):
     for r, delta in ((40, 0.0249), (4, 0.25)):
         assert run_cli("synth", "--r", r, "--delta", delta,
                        "--out-dir", tmp_path) == 0
-        model, _ = load_problem(tmp_path / "model.json")
+        model, _ = io.read_problem(tmp_path / "model.json")
         assert model.r == r
         assert wraparound_gap(model.taus) >= delta - 1e-12
 
@@ -382,7 +369,7 @@ def test_music_finds_noiseless_frequencies(tmp_path):
                    "--svg")
     assert code == 0
     doc = json.loads((tmp_path / "sources.json").read_text())
-    model, _ = load_problem(model_path)
+    model, _ = io.read_problem(model_path)
     err = hausdorff_distance(model.taus, doc["taus_hat"], metric="wraparound")
     assert err <= 1e-4
     assert doc["estimator"] == "vhm"
@@ -731,7 +718,7 @@ def test_config_file_precedence(tmp_path):
     cfg.write_text(json.dumps({"n": 24, "s": 2, "r": 2, "seed": 9}))
     assert run_cli("synth", "--config", cfg, "--r", 1,
                    "--out-dir", tmp_path) == 0
-    model, B = load_problem(tmp_path / "model.json")
+    model, B = io.read_problem(tmp_path / "model.json")
     assert B.shape == (24, 2) and model.s == 2
     assert model.r == 1  # flag beats config
     assert json.loads((tmp_path / "model.json").read_text())["seed"] == 9

@@ -1,9 +1,12 @@
 """Tests for noise subspaces, pseudospectrum evaluation, peak picking, and
 least-squares source recovery."""
 
+import json
+
 import numpy as np
 import pytest
 
+from vhlift import io
 from vhlift.estimate import (
     PseudospectrumCurve,
     grid_size,
@@ -11,7 +14,6 @@ from vhlift.estimate import (
     pick_peaks,
     pseudospectrum,
     recover_amplitudes,
-    sources_to_dict,
 )
 from vhlift.lift import LiftShape, stacked_hankel, vec_hankel
 from vhlift.model import (
@@ -336,11 +338,12 @@ def test_recover_flags_and_errors():
     np.testing.assert_array_equal(src.orients_hat, e0)
 
 
-def test_sources_serialization():
+def test_sources_serialization(tmp_path):
     m = sample_model(2, 3, seed=15)
     X = synthesize_data_matrix(m, 24)
     src = recover_amplitudes(X, m.taus)
-    doc = sources_to_dict(src)
+    io.write_sources(tmp_path / "sources.json", src, "vhm", False)
+    doc = json.loads((tmp_path / "sources.json").read_text())
     assert doc["s"] == 3 and doc["r"] == 2
     back = np.array([complex(a, b) for a, b in doc["orients_hat"]])
     np.testing.assert_array_equal(back.reshape((3, 2), order="F"),

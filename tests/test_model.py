@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from vhlift import io
 from vhlift.lift import LiftShape, vec_hankel
 from vhlift.model import (
     PointSourceModel,
@@ -15,10 +16,8 @@ from vhlift.model import (
     incoherence_diagnostic,
     add_noise,
     noise_sigma,
-    load_problem,
     sample_model,
     sample_subspace,
-    save_problem,
     steering_matrix,
     synthesize_data_matrix,
     wraparound_gap,
@@ -304,18 +303,18 @@ def test_problem_json_round_trip(tmp_path):
     m = sample_model(3, 4, seed=42)
     B = sample_subspace("dftrows", 24, 4, seed=43)
     path = tmp_path / "problem.json"
-    save_problem(path, m, B, "dftrows", 43)
+    io.write_problem(path, m, B, "dftrows", 43)
     doc = json.loads(path.read_text())
     assert list(doc) == ["n", "s", "r", "taus", "amps", "orients", "B",
                          "distribution", "seed"]
     assert (doc["n"], doc["s"], doc["r"]) == (24, 4, 3)
     assert doc["distribution"] == "dftrows" and doc["seed"] == 43
-    m2, B2 = load_problem(path)
+    m2, B2 = io.read_problem(path)
     np.testing.assert_array_equal(m.taus, m2.taus)
     np.testing.assert_array_equal(m.amps, m2.amps)
     np.testing.assert_array_equal(m.orients, m2.orients)
     np.testing.assert_array_equal(B, B2)
     # serialization is deterministic byte for byte
     first = path.read_bytes()
-    save_problem(path, m2, B2, "dftrows", 43)
+    io.write_problem(path, m2, B2, "dftrows", 43)
     assert path.read_bytes() == first

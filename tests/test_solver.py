@@ -1,5 +1,7 @@
 """Tests for the ADMM solver and its building blocks."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,12 +18,11 @@ from vhlift.model import (
     sample_subspace,
     synthesize_data_matrix,
 )
-from vhlift import solver
+from vhlift import io, solver
 from vhlift.solver import (
     SolveReport,
     SolverConfig,
     nuclear_norm,
-    report_to_dict,
     solve_vhl,
     svt,
 )
@@ -263,10 +264,11 @@ def test_nonconvergence_reported_not_raised():
     assert rep.dual_history[-1] == rep.dual_residual
 
 
-def test_report_round_trip_dict():
+def test_report_round_trip_dict(tmp_path):
     _, B, X, y = _instance(16, 2, 1, seed=0)
     rep = solve_vhl(y, B, LiftShape.default(16, 2))
-    doc = report_to_dict(rep)
+    io.write_report(tmp_path / "report.json", rep)
+    doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["converged"] is True
     assert doc["s"] == 2 and doc["n"] == 16
     flat = np.array([complex(a, b) for a, b in doc["X_hat"]])
