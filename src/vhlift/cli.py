@@ -131,13 +131,12 @@ def _list(conv, what):
 def _parse_fixed(opts, key) -> dict:
     text = opts[key]
     parts = str(text).split("=")
-    if len(parts) != 2:
-        raise CliError("--fixed must look like name=value, got %r"
-                       % (text,))
     try:
-        return {parts[0].strip(): int(parts[1])}
+        if len(parts) == 2:
+            return {parts[0].strip(): int(parts[1])}
     except ValueError:
-        raise CliError("--fixed value must be an integer") from None
+        pass
+    raise CliError("%s must be name=integer, got %r" % (key, text))
 
 
 def _check_out_dir(opts) -> None:

@@ -122,12 +122,15 @@ def wraparound_gap(taus) -> float:
 
 def min_separation(r: int, delta: float | None) -> float:
     """The gap sample_model enforces between r frequencies: max(delta,
-    1e-9), 1e-9 for None; rejected when r of them cannot keep it on the
-    circle."""
+    1e-9), 1e-9 for None; a negative delta is rejected, and so is one that
+    r frequencies cannot keep on the circle."""
     if delta is None:
         gap = 1e-9
     elif np.isnan(delta):
         raise ValueError("separation delta must be a number, got nan")
+    elif delta < 0:
+        raise ValueError("separation delta must be nonnegative, got %r"
+                         % (float(delta),))
     else:
         gap = max(float(delta), 1e-9)
     if r * gap > 1.0:

@@ -552,6 +552,8 @@ def test_config_file_sampling_laws_checked_before_trials(tmp_path, capsys):
       "--trials", 2), "distribution"),
     (("phase-transition", "--values1", 1, "--values2", 1, "--fixed", "n=8",
       "--trials", 2), "orient_law"),
+    (("phase-transition", "--values1", 1, "--values2", 1, "--trials", 2),
+     "fixed"),
     (("snr-sweep", "--n", 16, "--s", 2, "--r", 2, "--trials", 2,
       "--estimators", "vhm:1"), "orient_law"),
     (("snr-sweep", "--n", 16, "--s", 2, "--r", 2, "--trials", 2,
@@ -625,6 +627,17 @@ def test_non_finite_snr_and_delta_rejected(tmp_path, capsys):
         assert run_cli(*argv, "--out-dir", out) == 2
         assert capsys.readouterr().err == \
             "error: separation delta must be a number, got nan\n"
+    # a separation is a distance
+    for argv, value in ((("synth", "--delta", "-1"), "-1.0"),
+                        (("phase-transition", "--values1", 1, "--values2", 2,
+                          "--fixed", "n=16", "--trials", 1, "--delta",
+                          "-0.5"), "-0.5"),
+                        (("snr-sweep", "--n", 16, "--s", 2, "--r", 2,
+                          "--trials", 1, "--estimators", "vhm:1", "--snr",
+                          20, "--delta", "-0.1"), "-0.1")):
+        assert run_cli(*argv, "--out-dir", out) == 2
+        assert capsys.readouterr().err == \
+            "error: separation delta must be nonnegative, got %s\n" % value
     # an infinite tolerance, SVT inverse threshold or success threshold
     # would make every solve or trial pass
     model, _, y = synth_files(tmp_path)

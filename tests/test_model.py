@@ -84,6 +84,11 @@ def test_sample_model_separation():
         sample_model(3, 2, seed=0, delta=0.4)
     with pytest.raises(ValueError, match="delta must be a number, got nan"):
         sample_model(3, 2, seed=0, delta=np.nan)
+    with pytest.raises(ValueError, match=r"^separation delta must be "
+                       r"nonnegative, got -1\.0$"):
+        sample_model(3, 2, seed=0, delta=-1)
+    # a delta of 0 still means no constraint
+    assert wraparound_gap(sample_model(3, 2, seed=0, delta=0.0).taus) > 0
 
 
 def test_sample_model_bernoulli_orientations():
