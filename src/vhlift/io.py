@@ -195,7 +195,8 @@ def write_report(path, report) -> None:
 
 
 def write_sources(path, sources, estimator: str, padded: bool) -> None:
-    """sources.json from an estimate.RecoveredSources and its peaks."""
+    """sources.json from an estimate.RecoveredSources, the estimator tag
+    and whether pick_peaks padded its frequencies."""
     write_json(path, {
         "taus_hat": [float(t) for t in sources.taus_hat],
         "amps_hat": [float(a) for a in sources.amps_hat],

@@ -552,12 +552,12 @@ def test_config_file_sampling_laws_checked_before_trials(tmp_path, capsys):
       "--trials", 2), "distribution"),
     (("phase-transition", "--values1", 1, "--values2", 1, "--fixed", "n=8",
       "--trials", 2), "orient_law"),
-    (("phase-transition", "--values1", 1, "--values2", 1, "--trials", 2),
-     "fixed"),
     (("snr-sweep", "--n", 16, "--s", 2, "--r", 2, "--trials", 2,
       "--estimators", "vhm:1"), "orient_law"),
     (("snr-sweep", "--n", 16, "--s", 2, "--r", 2, "--trials", 2,
       "--estimators", "vhm:1"), "metric"),
+    (("phase-transition", "--values1", 1, "--values2", 1, "--trials", 2),
+     "fixed"),
 ])
 def test_bad_flag_value_reported_like_config_value(tmp_path, capsys, argv,
                                                    key):
