@@ -131,11 +131,11 @@ def _list(conv, what):
 def _parse_fixed(opts, key) -> dict:
     text = opts[key]
     parts = str(text).split("=")
-    try:
-        if len(parts) == 2:
+    if len(parts) == 2:
+        try:
             return {parts[0].strip(): int(parts[1])}
-    except ValueError:
-        pass
+        except ValueError:
+            pass
     raise CliError("%s must be name=integer, got %r" % (key, text))
 
 
