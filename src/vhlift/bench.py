@@ -6,11 +6,12 @@ program per cell, and an SNR sweep that measures frequency-estimation error
 (Hausdorff distance) of several estimators on a shared noisy instance per
 trial.
 
-Determinism contract: trial t of cell c draws its generator from
-SeedSequence((base_seed, c, t)), and per-trial results land in preallocated
-arrays indexed by (cell, trial) before any reduction, so outputs are
-byte-identical regardless of worker count or scheduling order.  Progress
-lines are emitted in task order for the same reason.
+Both drivers run their trials through `_run_tasks`, which alone holds the
+determinism contract: trial t of cell c draws its generator from
+SeedSequence((base_seed, c, t)), results come back in (cell, trial) order
+and land in preallocated arrays before any reduction, and progress lines
+are written in that order too.  So outputs are byte-identical regardless
+of worker count or scheduling order.
 
 Trials run on a thread pool of at most one thread per core, with BLAS on
 one thread.  At these matrix sizes BLAS threading gains nothing, and worker
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -147,12 +149,6 @@ class PhaseTransitionConfig:
             raise ValueError("a cell with s=%d > n=%d has no n x s sensing "
                              "matrix; every cell needs n >= s" % (s_max, n_min))
 
-    def cell_params(self, i: int, j: int) -> dict:
-        p = dict(self.fixed)
-        p[self.axis1_name] = self.axis1_values[i]
-        p[self.axis2_name] = self.axis2_values[j]
-        return p
-
 
 @dataclass
 class TrialGrid:
@@ -167,10 +163,8 @@ class TrialGrid:
         return (self.errors < self.config.threshold).sum(axis=2)
 
 
-def _phase_trial(config: PhaseTransitionConfig, cell: int, params: dict,
-                 t: int) -> float:
-    rng = np.random.default_rng(
-        np.random.SeedSequence((config.base_seed, cell, t)))
+def _phase_trial(config: PhaseTransitionConfig, params: dict,
+                 rng: np.random.Generator) -> float:
     n, r, s = params["n"], params["r"], params["s"]
     # the config is validated, so drawing the instance cannot fail; an
     # error here is a bug and propagates
@@ -247,23 +241,30 @@ def _one_blas_thread():
                 put(_pin["threads"])
 
 
-def _run_tasks(tasks, runner, workers, progress):
-    """Execute (slot, label) tasks on at most `workers` threads, and never
-    more than the core count, with BLAS on one thread (see the module
-    docstring); results are keyed by slot and consumed in task order, so
-    neither the output arrays nor the progress lines depend on scheduling.
-    Leaving early, on an exception, drops the tasks not yet started."""
+def _run_tasks(base_seed, cells, trials, trial, workers, progress):
+    """Run trial(cell, rng) for every trial t of every (cell, label) pair
+    in `cells`, on at most `workers` threads and never more than the core
+    count, with BLAS on one thread (see the module docstring).  Trial t of
+    the c-th cell draws from SeedSequence((base_seed, c, t)).  Results are
+    yielded as (c, t, value) and "<label> trial t+1/trials: max(value)"
+    goes to `progress`, both in (cell, trial) order, so neither depends on
+    scheduling.  Leaving early, on an exception, drops the trials not yet
+    started."""
     workers = min(workers, os.cpu_count() or 1)
     with _one_blas_thread():
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
-            futures = [(slot, label, pool.submit(runner, slot))
-                       for slot, label in tasks]
-            for slot, label, fut in futures:
+            futures = [pool.submit(trial, cell, np.random.default_rng(
+                           np.random.SeedSequence((base_seed, c, t))))
+                       for c, (cell, _) in enumerate(cells)
+                       for t in range(trials)]
+            for k, fut in enumerate(futures):
+                c, t = divmod(k, trials)
                 value = fut.result()
-                yield slot, value
+                yield c, t, value
                 if progress is not None:
-                    progress("%s: %.3e" % (label, np.max(value)))
+                    progress("%s trial %d/%d: %.3e"
+                             % (cells[c][1], t + 1, trials, np.max(value)))
         finally:
             pool.shutdown(cancel_futures=True)
 
@@ -272,24 +273,17 @@ def run_phase_transition(config: PhaseTransitionConfig, workers: int = 1,
                          progress=None) -> TrialGrid:
     """Run the success-count grid; per-trial failures count as errors of
     +inf (non-success) and never abort the run."""
-    n1, n2 = len(config.axis1_values), len(config.axis2_values)
-    errors = np.full((n1, n2, config.trials), np.inf)
-    tasks = []
-    for i in range(n1):
-        for j in range(n2):
-            cell = i * n2 + j
-            params = config.cell_params(i, j)
-            label = " ".join("%s=%d" % (k, params[k]) for k in PARAM_NAMES)
-            for t in range(config.trials):
-                tasks.append(((i, j, t),
-                              "%s trial %d/%d" % (label, t + 1, config.trials)))
-
-    def runner(slot):
-        i, j, t = slot
-        return _phase_trial(config, i * n2 + j, config.cell_params(i, j), t)
-
-    for (i, j, t), err in _run_tasks(tasks, runner, workers, progress):
-        errors[i, j, t] = err
+    n2 = len(config.axis2_values)
+    errors = np.full((len(config.axis1_values), n2, config.trials), np.inf)
+    cells = []
+    for v1, v2 in itertools.product(config.axis1_values, config.axis2_values):
+        params = {**config.fixed, config.axis1_name: v1, config.axis2_name: v2}
+        cells.append((params, " ".join("%s=%d" % (k, params[k])
+                                       for k in PARAM_NAMES)))
+    for c, t, err in _run_tasks(config.base_seed, cells, config.trials,
+                                functools.partial(_phase_trial, config),
+                                workers, progress):
+        errors[c // n2, c % n2, t] = err
     return TrialGrid(config=config, errors=errors)
 
 
@@ -345,13 +339,12 @@ class SweepResult:
         return self.errors.mean(axis=2)
 
 
-def _sweep_trial(config: SweepConfig, si: int, t: int) -> np.ndarray:
-    rng = np.random.default_rng(
-        np.random.SeedSequence((config.base_seed, si, t)))
+def _sweep_trial(config: SweepConfig, snr: float,
+                 rng: np.random.Generator) -> np.ndarray:
     model = sample_model(config.r, config.s, seed=rng, delta=config.delta,
                          orient_law=config.orient_law)
     X = synthesize_data_matrix(model, config.n)
-    Xn = add_noise(X, config.snr_db[si], seed=rng)
+    Xn = add_noise(X, snr, seed=rng)
     out = np.empty(len(config.estimators))
     for e, est in enumerate(config.estimators):
         taus_hat = estimate_frequencies(Xn, config.r, est, config.grid_step)
@@ -365,13 +358,9 @@ def run_snr_sweep(config: SweepConfig, workers: int = 1,
     comparison across estimators is paired."""
     errors = np.full((len(config.estimators), len(config.snr_db),
                       config.trials), np.inf)
-    tasks = [((si, t), "snr=%g trial %d/%d" % (snr, t + 1, config.trials))
-             for si, snr in enumerate(config.snr_db)
-             for t in range(config.trials)]
-
-    def runner(slot):
-        return _sweep_trial(config, *slot)
-
-    for (si, t), vals in _run_tasks(tasks, runner, workers, progress):
+    cells = [(snr, "snr=%g" % snr) for snr in config.snr_db]
+    for si, t, vals in _run_tasks(config.base_seed, cells, config.trials,
+                                  functools.partial(_sweep_trial, config),
+                                  workers, progress):
         errors[:, si, t] = vals
     return SweepResult(config=config, errors=errors)

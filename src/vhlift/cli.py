@@ -53,12 +53,6 @@ EXIT_NONCONV = 3
 EXIT_IO = 4
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
-
-
 # ---------------------------------------------------------------- values
 
 def _as(conv, what):
@@ -72,7 +66,7 @@ def _as(conv, what):
                 return conv(val)
         except (TypeError, ValueError, OverflowError):
             pass
-        raise CliError("%s must be %s, got %r" % (key, what, val))
+        raise ValueError("%s must be %s, got %r" % (key, what, val))
     return parse
 
 
@@ -83,7 +77,7 @@ _float = _as(float, "a number")
 def _positive_int(opts, key) -> int:
     v = _int(opts, key)
     if v < 1:
-        raise CliError("%s must be positive, got %d" % (key, v))
+        raise ValueError("%s must be positive, got %d" % (key, v))
     return v
 
 
@@ -102,7 +96,7 @@ def _str(opts, key) -> str:
     descriptor to open()."""
     val = opts[key]
     if not isinstance(val, str):
-        raise CliError("%s must be a string" % key)
+        raise ValueError("%s must be a string" % key)
     return val
 
 
@@ -113,7 +107,7 @@ def _lower(opts, key) -> str:
 def _bool(opts, key) -> bool:
     val = opts[key]
     if not isinstance(val, bool):
-        raise CliError("%s must be true or false, got %r" % (key, val))
+        raise ValueError("%s must be true or false, got %r" % (key, val))
     return val
 
 
@@ -123,8 +117,8 @@ def _list(conv, what):
         try:
             return tuple(conv(tok) for tok in str(text).split(","))
         except ValueError:
-            raise CliError("%s must be a comma-separated %s list, got %r"
-                           % (key, what, text)) from None
+            raise ValueError("%s must be a comma-separated %s list, got %r"
+                             % (key, what, text)) from None
     return parse
 
 
@@ -136,7 +130,7 @@ def _parse_fixed(opts, key) -> dict:
             return {parts[0].strip(): int(parts[1])}
         except ValueError:
             pass
-    raise CliError("%s must be name=integer, got %r" % (key, text))
+    raise ValueError("%s must be name=integer, got %r" % (key, text))
 
 
 def _check_out_dir(opts) -> None:
@@ -188,10 +182,11 @@ def _merged(args, table) -> dict:
         with open(args.config) as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
-            raise CliError("config file must hold a JSON object")
+            raise ValueError("config file must hold a JSON object")
         unknown = sorted(set(doc) - {o.key for o in table})
         if unknown:
-            raise CliError("unknown config keys: %s" % ", ".join(unknown))
+            raise ValueError("unknown config keys: %s"
+                             % ", ".join(unknown))
         opts.update(doc)
     for o in table:
         val = getattr(args, o.key)
@@ -199,7 +194,7 @@ def _merged(args, table) -> dict:
             opts[o.key] = val
         elif o.key in opts and opts[o.key] is None \
                 and o.parse not in NULLABLE:
-            raise CliError("config key %s must not be null" % o.key)
+            raise ValueError("config key %s must not be null" % o.key)
     return {o.key: o.parse(opts, o.key) for o in table if o.key in opts}
 
 
@@ -292,7 +287,7 @@ SWEEP = (  # SweepConfig fields, then threads
 def cmd_synth(opts) -> int:
     n, s, r, seed = opts["n"], opts["s"], opts["r"], opts["seed"]
     if n < s:
-        raise CliError("need n >= s, got n=%d s=%d" % (n, s))
+        raise ValueError("need n >= s, got n=%d s=%d" % (n, s))
     distribution = opts["distribution"]
     rng = np.random.default_rng(seed)
     model = sample_model(r, s, seed=rng, delta=opts["delta"],
@@ -316,8 +311,8 @@ def cmd_solve(opts) -> int:
     n, s = B.shape
     y = io.read_complex_vector_csv(opts["y"])
     if y.shape[0] != n:
-        raise CliError("measurement length %d does not match the sensing "
-                       "matrix (%d rows)" % (y.shape[0], n))
+        raise ValueError("measurement length %d does not match the sensing "
+                         "matrix (%d rows)" % (y.shape[0], n))
     shape = LiftShape.default(n, s, opts["n1"])
     report = solve_vhl(y, B, shape, SolverConfig(**_fields(opts, SOLVER)))
     io.write_report(_out(opts, "report.json"), report)
@@ -331,7 +326,7 @@ def cmd_solve(opts) -> int:
 
 def cmd_music(opts) -> int:
     if opts["r"] is None:
-        raise CliError("--r (model order) is required")
+        raise ValueError("--r (model order) is required")
     r, estimator = opts["r"], opts["estimator"]
     X = io.read_complex_matrix_csv(opts["x"])
     u_perp = noise_subspace(X, r, estimator, opts["n1"])
@@ -417,9 +412,6 @@ def main(argv=None) -> int:
         opts = _merged(args, args.table)
         _check_out_dir(opts)
         return args.func(opts)
-    except CliError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return exc.code
     except OSError as exc:
         print("I/O error: %s" % exc, file=sys.stderr)
         return EXIT_IO

@@ -106,29 +106,29 @@ class SolveReport:
 def svt(M: np.ndarray, threshold: float) -> np.ndarray:
     """Singular value soft-thresholding, the proximal map of the nuclear norm.
 
-    Computed from the eigendecomposition of the Gram matrix on the smaller
-    side of M (M^H M when M is tall, M M^H when it is wide): with sigma_i
-    the singular values above the threshold tau and V_k their right
-    singular vectors, the result is M P with
-    P = V_k diag((sigma - tau) / sigma) V_k^H.  M is multiplied once by the
-    small square P, or, when fewer than half the values are kept, by the
-    thin V_k and then by diag((sigma - tau) / sigma) V_k^H, whichever is
-    fewer flops.  Its error relative to a full SVD grows like
+    A wide M is thresholded through its transpose, since
+    svt(M^T) = svt(M)^T.  A tall M is computed from the eigendecomposition
+    of its Gram matrix M^H M: with sigma_i the singular values above the
+    threshold tau and V_k their right singular vectors, the result is M P
+    with P = V_k diag((sigma - tau) / sigma) V_k^H.  M is multiplied once
+    by the small square P, or, when fewer than half the values are kept,
+    by the thin V_k and then by diag((sigma - tau) / sigma) V_k^H,
+    whichever is fewer flops.  Its error relative to a full SVD grows like
     eps * sigma_max / tau.
     """
     if not threshold >= 0:
         raise ValueError("threshold must be nonnegative")
     M = np.asarray(M)
-    wide = M.shape[0] < M.shape[1]
-    lam, V = np.linalg.eigh(M @ M.conj().T if wide else M.conj().T @ M)
+    if M.shape[0] < M.shape[1]:
+        return svt(M.T, threshold).T
+    lam, V = np.linalg.eigh(M.conj().T @ M)
     sig = np.sqrt(np.maximum(lam, 0.0))
     keep = sig > threshold
     Vk = V[:, keep]
     W = Vk * ((sig[keep] - threshold) / sig[keep])
     if 2 * Vk.shape[1] < len(V):
-        return W @ (Vk.conj().T @ M) if wide else (M @ Vk) @ W.conj().T
-    P = W @ Vk.conj().T
-    return P @ M if wide else M @ P
+        return (M @ Vk) @ W.conj().T
+    return M @ (W @ Vk.conj().T)
 
 
 def nuclear_norm(M: np.ndarray) -> float:

@@ -22,8 +22,14 @@ from vhlift.bench import (
     run_snr_sweep,
 )
 from vhlift.lift import LiftShape
-from vhlift.model import sample_model, synthesize_data_matrix
-from vhlift.solver import SolverConfig
+from vhlift.model import (
+    add_noise,
+    apply_measurement,
+    sample_model,
+    sample_subspace,
+    synthesize_data_matrix,
+)
+from vhlift.solver import SolverConfig, solve_vhl
 
 
 # ---------------------------------------------------------------- metrics
@@ -296,6 +302,60 @@ def test_phase_transition_progress_lines():
     run_phase_transition(small_phase_config(trials=1), progress=seen.append)
     assert len(seen) == 4
     assert any("n=16" in s for s in seen)
+
+
+def test_trials_follow_the_seed_contract():
+    # trial t of cell c draws from SeedSequence((base_seed, c, t)); a grid
+    # cell (i, j) is c = i * len(axis2) + j and an SNR level si is c = si.
+    # The hand computation pins BLAS to one thread, as the harness does.
+    def rng(cfg, c, t):
+        return np.random.default_rng(
+            np.random.SeedSequence((cfg.base_seed, c, t)))
+
+    cfg = small_phase_config(trials=2)
+    lines = []
+    grid = run_phase_transition(cfg, progress=lines.append)
+    n = cfg.fixed["n"]
+    with bench._one_blas_thread():
+        for i, r in enumerate(cfg.axis1_values):
+            for j, s in enumerate(cfg.axis2_values):
+                for t in range(2):
+                    g = rng(cfg, i * len(cfg.axis2_values) + j, t)
+                    model = sample_model(r, s, seed=g, delta=cfg.delta,
+                                         orient_law=cfg.orient_law)
+                    B = sample_subspace(cfg.distribution, n, s, seed=g)
+                    X = synthesize_data_matrix(model, n)
+                    rep = solve_vhl(apply_measurement(X, B), B,
+                                    LiftShape.default(n, s), cfg.solver)
+                    assert grid.errors[i, j, t] \
+                        == relative_error(rep.X_hat, X), (i, j, t)
+    assert lines == ["n=16 r=%d s=%d trial %d/2: %.3e"
+                     % (r, s, t + 1, grid.errors[i, j, t])
+                     for i, r in enumerate(cfg.axis1_values)
+                     for j, s in enumerate(cfg.axis2_values)
+                     for t in range(2)]
+    assert lines[2] == "n=16 r=1 s=2 trial 1/2: %.3e" % grid.errors[0, 1, 0]
+
+    cfg = small_sweep_config(snr_db=(20.0, 5.0), trials=2)
+    lines = []
+    res = run_snr_sweep(cfg, progress=lines.append)
+    with bench._one_blas_thread():
+        for si, snr in enumerate(cfg.snr_db):
+            for t in range(2):
+                g = rng(cfg, si, t)
+                model = sample_model(cfg.r, cfg.s, seed=g, delta=cfg.delta,
+                                     orient_law=cfg.orient_law)
+                Xn = add_noise(synthesize_data_matrix(model, cfg.n), snr,
+                               seed=g)
+                expected = [hausdorff_distance(
+                    model.taus, estimate_frequencies(Xn, cfg.r, est,
+                                                     cfg.grid_step),
+                    cfg.metric) for est in cfg.estimators]
+                np.testing.assert_array_equal(res.errors[:, si, t], expected)
+    assert lines == ["snr=%g trial %d/2: %.3e"
+                     % (snr, t + 1, np.max(res.errors[:, si, t]))
+                     for si, snr in enumerate(cfg.snr_db) for t in range(2)]
+    assert lines[1] == "snr=20 trial 2/2: %.3e" % np.max(res.errors[:, 0, 1])
 
 
 def test_grid_svg_smoke(tmp_path):

@@ -328,8 +328,14 @@ def test_solve_rejects_non_finite_model_json(tmp_path, capsys):
     assert capsys.readouterr().err == "error: non-finite value in %s\n" % bad
 
 
+# a count must be a JSON integer: a float, a string or a bool is no count,
+# even where int() would take it
+COUNTS = {"float_n": ("n", 64.9), "float_r": ("r", 4.5),
+          "string_s": ("s", "3"), "bool_n": ("n", True)}
+
+
 @pytest.mark.parametrize("case", ["top_level_list", "null_n", "flat_amps",
-                                  "flat_B"])
+                                  "flat_B", *COUNTS])
 def test_solve_rejects_malformed_model_json(tmp_path, capsys, case):
     model_path, _, y_path = synth_files(tmp_path)
     doc = json.loads(model_path.read_text())
@@ -339,8 +345,11 @@ def test_solve_rejects_malformed_model_json(tmp_path, capsys, case):
         doc["n"] = None
     elif case == "flat_amps":
         doc["amps"] = [1.0, 2.0]
-    else:
+    elif case == "flat_B":
         doc["B"] = [x for pair in doc["B"] for x in pair]
+    else:
+        key, value = COUNTS[case]
+        doc[key] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     capsys.readouterr()

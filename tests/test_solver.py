@@ -328,7 +328,7 @@ class _PlainStep:
 
 
 # s and n1 of each lift; n1 = None is the near-square split, whose lifts
-# are tall, and n1 = 8 gives a wide 16 x 25 lift, svt's other branch
+# are tall, and n1 = 8 gives a wide 16 x 25 lift, which svt transposes
 LIFTS = [pytest.param(2, None, id="2"), pytest.param(3, None, id="3"),
          pytest.param(8, None, id="8"), pytest.param(2, 8, id="2-n1=8")]
 
