@@ -164,14 +164,15 @@ def read_problem(path) -> tuple[PointSourceModel, np.ndarray]:
             raise ValueError("non-finite value in %s" % (path,))
         return value
 
+    with open(path) as fh:
+        doc = json.load(fh, parse_float=finite, parse_constant=finite)
+
     def count(key):
         value = doc[key]
         if type(value) is not int:  # not a float, string or bool
             raise TypeError("%s must be a JSON integer, got %r" % (key, value))
         return value
 
-    with open(path) as fh:
-        doc = json.load(fh, parse_float=finite, parse_constant=finite)
     try:
         n, s, r = count("n"), count("s"), count("r")
         model = PointSourceModel(
