@@ -46,6 +46,7 @@ from .model import (
     add_noise,
     apply_measurement,
     check_distribution,
+    check_integer,
     check_orient_law,
     check_snr,
     min_separation,
@@ -69,6 +70,15 @@ __all__ = [
 
 # ---------------------------------------------------------------- metrics
 
+METRICS = ("plain", "wraparound")  # the distances hausdorff_distance takes
+
+
+def check_metric(metric) -> None:
+    if metric not in METRICS:
+        raise ValueError("metric must be %s"
+                         % " or ".join(map(repr, METRICS)))
+
+
 def relative_error(X_hat: np.ndarray, X_ref: np.ndarray) -> float:
     """||X_hat - X_ref||_F / ||X_ref||_F, with 0/0 = 0 and x/0 = inf."""
     X_hat = np.asarray(X_hat)
@@ -87,8 +97,7 @@ def hausdorff_distance(taus, taus_hat, metric: str = "plain") -> float:
     """Symmetric worst-case nearest-neighbor distance between two
     frequency sets; metric "plain" uses |a - b|, "wraparound" the circular
     distance min(|a - b|, 1 - |a - b|)."""
-    if metric not in ("plain", "wraparound"):
-        raise ValueError("metric must be 'plain' or 'wraparound'")
+    check_metric(metric)
     a = np.atleast_1d(np.asarray(taus, dtype=np.float64))
     b = np.atleast_1d(np.asarray(taus_hat, dtype=np.float64))
     if a.size == 0 or b.size == 0:
@@ -122,8 +131,13 @@ class PhaseTransitionConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        self.axis1_values = tuple(int(v) for v in self.axis1_values)
-        self.axis2_values = tuple(int(v) for v in self.axis2_values)
+        self.axis1_values = tuple(check_integer("axis1_values", v)
+                                  for v in self.axis1_values)
+        self.axis2_values = tuple(check_integer("axis2_values", v)
+                                  for v in self.axis2_values)
+        self.fixed = {k: check_integer("fixed " + str(k), v)
+                      for k, v in self.fixed.items()}
+        self.trials = check_integer("trials", self.trials)
         names = {self.axis1_name, self.axis2_name, *self.fixed}
         if names != set(PARAM_NAMES) or len(self.fixed) != 1 \
                 or self.axis1_name == self.axis2_name:
@@ -176,9 +190,9 @@ def _phase_trial(config: PhaseTransitionConfig, params: dict,
     try:
         rep = solve_vhl(y, B, LiftShape.default(n, s), config.solver)
         return relative_error(rep.X_hat, X)
-    except (ValueError, ArithmeticError):
+    except (np.linalg.LinAlgError, ArithmeticError):
         # a failed solve is a non-success, never a dead grid; other
-        # exceptions are bugs and propagate
+        # exceptions, a ValueError included, are bugs and propagate
         return np.inf
 
 
@@ -316,12 +330,13 @@ class SweepConfig:
     def __post_init__(self):
         self.snr_db = tuple(check_snr(v) for v in self.snr_db)
         self.estimators = tuple(self.estimators)
+        for name in ("n", "s", "r", "trials"):
+            setattr(self, name, check_integer(name, getattr(self, name)))
         if self.n < 1 or self.s < 1 or self.r < 1 or self.trials < 1:
             raise ValueError("n, s, r, trials must be positive")
         if not self.snr_db or not self.estimators:
             raise ValueError("need at least one SNR level and one estimator")
-        if self.metric not in ("plain", "wraparound"):
-            raise ValueError("metric must be 'plain' or 'wraparound'")
+        check_metric(self.metric)
         check_orient_law(self.orient_law)
         min_separation(self.r, self.delta)
         grid_size(self.grid_step)

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import io
 from .bench import (
+    METRICS,
     PhaseTransitionConfig,
     SweepConfig,
     run_phase_transition,
@@ -275,7 +276,7 @@ SWEEP = (  # SweepConfig fields, then threads
     Opt("trials", field="trials", parse=_positive_int),
     Opt("delta", field="delta", parse=_maybe_float),
     Opt("orient_law", field="orient_law", help=ORIENT_LAW_HELP),
-    Opt("metric", field="metric", help="one of plain, wraparound"),
+    Opt("metric", field="metric", help="one of %s" % ", ".join(METRICS)),
     Opt("grid_step", field="grid_step", parse=_float),
     Opt("seed", field="base_seed", parse=_int),
     THREADS,
@@ -286,8 +287,6 @@ SWEEP = (  # SweepConfig fields, then threads
 
 def cmd_synth(opts) -> int:
     n, s, r, seed = opts["n"], opts["s"], opts["r"], opts["seed"]
-    if n < s:
-        raise ValueError("need n >= s, got n=%d s=%d" % (n, s))
     distribution = opts["distribution"]
     rng = np.random.default_rng(seed)
     model = sample_model(r, s, seed=rng, delta=opts["delta"],
@@ -310,9 +309,6 @@ def cmd_solve(opts) -> int:
     _, B = io.read_problem(opts["model"])
     n, s = B.shape
     y = io.read_complex_vector_csv(opts["y"])
-    if y.shape[0] != n:
-        raise ValueError("measurement length %d does not match the sensing "
-                         "matrix (%d rows)" % (y.shape[0], n))
     shape = LiftShape.default(n, s, opts["n1"])
     report = solve_vhl(y, B, shape, SolverConfig(**_fields(opts, SOLVER)))
     io.write_report(_out(opts, "report.json"), report)

@@ -72,14 +72,14 @@ class RecoveredSources:
 
 
 def parse_estimator(name: str, n: int, s: int, r: int,
-                    n1: int | None = None) -> tuple[int, LiftShape]:
-    """Map an estimator tag to the leading data rows it lifts and the
-    lift's shape, for an s x n data matrix and model order r.
+                    n1: int | None = None) -> LiftShape:
+    """Map an estimator tag to the shape of its lift of the leading data
+    rows, for an s x n data matrix and model order r.
 
     Tags: "vhm" lifts all s rows and "vhm:K" the first K, at the split n1
     (near-square by default); "single" is "vhm:1"; "mmv" lifts all rows at
     n1 = 1, so it takes no n1 and needs r <= s.  Every tag needs
-    0 <= r < n2.  Returns (rows, shape).
+    0 <= r < n2.
     """
     if name == "mmv":
         if r > s:
@@ -104,7 +104,7 @@ def parse_estimator(name: str, n: int, s: int, r: int,
     if not 0 <= r < shape.n2:
         raise ValueError("model order must satisfy 0 <= r < n2, got r=%d "
                          "and n2=%d" % (r, shape.n2))
-    return rows, shape
+    return shape
 
 
 def noise_subspace(X: np.ndarray, r: int, estimator: str,
@@ -113,12 +113,12 @@ def noise_subspace(X: np.ndarray, r: int, estimator: str,
     lift split n1, which "mmv" rejects (see parse_estimator).
 
     The signal space is spanned by the top r left singular vectors of the
-    transposed lift vec_hankel(X[:rows]).T; the remaining n2 - r columns
+    transposed lift vec_hankel(X[:shape.s]).T; the other n2 - r columns
     are returned as an n2 x (n2 - r) matrix with orthonormal columns.
     """
     X = np.atleast_2d(np.asarray(X))
-    rows, shape = parse_estimator(estimator, X.shape[1], X.shape[0], r, n1)
-    X = X[:rows]
+    shape = parse_estimator(estimator, X.shape[1], X.shape[0], r, n1)
+    X = X[:shape.s]
     if np.linalg.norm(X) == 0.0:
         raise ValueError("data matrix is zero; its singular subspaces "
                          "are undefined")
@@ -222,18 +222,15 @@ def recover_amplitudes(X: np.ndarray, taus_hat) -> RecoveredSources:
     if r > n:
         raise ValueError("more frequencies than samples")
     A = steering_matrix(taus_hat, n)
-    cond = np.linalg.cond(A)
-    Wt, *_ = np.linalg.lstsq(A, X.T, rcond=None)
+    Wt, _, _, sv = np.linalg.lstsq(A, X.T, rcond=None)
     W = Wt.T
     amps = np.linalg.norm(W, axis=0)
-    orients = np.empty_like(W)
-    for k in range(r):
-        if amps[k] > 0.0:
-            orients[:, k] = W[:, k] / amps[k]
-        else:
-            orients[:, k] = 0.0
-            orients[0, k] = 1.0
+    live = amps > 0.0
+    orients = np.zeros_like(W)
+    orients[0] = 1.0  # e_0 for a zero column
+    orients[:, live] = W[:, live] / amps[live]
     residual = float(np.linalg.norm(X - W @ A.T))
+    # multiplied, not divided, so that sv[-1] = 0 reads as ill-conditioned
     return RecoveredSources(taus_hat=taus_hat, amps_hat=amps,
                             orients_hat=orients, residual=residual,
-                            ill_conditioned=bool(cond > COND_LIMIT))
+                            ill_conditioned=bool(sv[0] > COND_LIMIT * sv[-1]))

@@ -155,9 +155,10 @@ def write_problem(path, model: PointSourceModel, B: np.ndarray,
 
 
 def read_problem(path) -> tuple[PointSourceModel, np.ndarray]:
-    """Read a problem file as (model, B), rejecting any non-finite number
-    in it and any field of the wrong JSON type with a ValueError that names
-    the file."""
+    """Read a problem file as (model, B).  A non-finite number, a field of
+    the wrong JSON type, a count that disagrees with the length of its
+    array or a value the model rejects raises a ValueError that names the
+    file."""
     def finite(text):
         value = float(text)
         if not np.isfinite(value):
@@ -175,13 +176,19 @@ def read_problem(path) -> tuple[PointSourceModel, np.ndarray]:
 
     try:
         n, s, r = count("n"), count("s"), count("r")
+        for key, size, counts in (("taus", r, "r"), ("amps", r, "r"),
+                                  ("orients", s * r, "s*r"),
+                                  ("B", n * s, "n*s")):
+            if len(doc[key]) != size:
+                raise ValueError("%s has %d entries, but %s = %d"
+                                 % (key, len(doc[key]), counts, size))
         model = PointSourceModel(
             taus=np.asarray(doc["taus"], dtype=np.float64),
             amps=pairs_to_complex(doc["amps"], r, 1).ravel(),
             orients=pairs_to_complex(doc["orients"], s, r),
         )
         return model, pairs_to_complex(doc["B"], n, s)
-    except (TypeError, KeyError) as exc:  # e.g. a null count, flat pairs
+    except (TypeError, KeyError, ValueError) as exc:  # e.g. a null count
         raise ValueError("malformed problem file %s: %s: %s"
                          % (path, type(exc).__name__, exc)) from None
 

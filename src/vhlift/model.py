@@ -12,6 +12,7 @@ at a prescribed SNR, and conditioning diagnostics.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "apply_measurement_adjoint",
     "build_vandermonde_factors",
     "noise_sigma",
+    "check_integer",
     "check_distribution",
     "check_orient_law",
     "check_snr",
@@ -143,6 +145,14 @@ DISTRIBUTIONS = ("gaussian", "rademacher", "dftrows")  # any letter case
 ORIENT_LAWS = ("gaussian", "bernoulli")
 
 
+def check_integer(name: str, value) -> int:
+    """value as an int; a bool, or a number that is not an integer such as
+    2.0, is rejected, and a numpy integer is taken."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    return int(value)
+
+
 def check_distribution(distribution) -> None:
     if str(distribution).lower() not in DISTRIBUTIONS:
         raise ValueError("distribution must be one of %s, got %r"
@@ -151,8 +161,8 @@ def check_distribution(distribution) -> None:
 
 def check_orient_law(orient_law) -> None:
     if orient_law not in ORIENT_LAWS:
-        raise ValueError("orient_law must be 'gaussian' or 'bernoulli', "
-                         "got %r" % (orient_law,))
+        raise ValueError("orient_law must be %s, got %r"
+                         % (" or ".join(map(repr, ORIENT_LAWS)), orient_law))
 
 
 def sample_model(r: int, s: int, seed=None, delta: float | None = None,
@@ -201,8 +211,10 @@ def sample_subspace(distribution: str, n: int, s: int,
     replacement from the scaled n-point discrete Fourier matrix, entries
     exp(-2i pi p j / n) for an integer row index p).
     """
-    if not n >= s >= 1:
-        raise ValueError("need n >= s >= 1")
+    if s < 1:
+        raise ValueError("need s >= 1, got s=%d" % s)
+    if n < s:
+        raise ValueError("need n >= s, got n=%d s=%d" % (n, s))
     check_distribution(distribution)
     tag = distribution.lower()
     rng = np.random.default_rng(seed)

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lift import LiftShape, hankel_weights, vec_hankel, vec_hankel_adjoint
-from .model import apply_measurement, apply_measurement_adjoint
+from .model import apply_measurement, apply_measurement_adjoint, check_integer
 
 # history pairs each Anderson step mixes; ROADMAP lists the iteration counts
 # measured at other depths
@@ -83,6 +83,7 @@ class SolverConfig:
         if not 0 < self.tol_rel < math.inf:
             raise ValueError("tol_rel must be positive and finite, got %r"
                              % (self.tol_rel,))
+        self.max_iters = check_integer("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -221,7 +222,8 @@ def solve_vhl(y: np.ndarray, B: np.ndarray, shape: LiftShape,
     if B.shape != (shape.n, shape.s):
         raise ValueError("sensing matrix must be n x s for the given shape")
     if y.shape[0] != shape.n:
-        raise ValueError("measurement vector must have length n")
+        raise ValueError("measurement length %d does not match the sensing "
+                         "matrix (%d rows)" % (y.shape[0], shape.n))
     if not np.all(np.isfinite(y)):
         raise ValueError("measurement vector y has a nan or inf entry")
     if not np.all(np.isfinite(B)):

@@ -2,6 +2,7 @@
 full-scale experiment checks live in the acceptance suite)."""
 
 import itertools
+import re
 import sys
 import threading
 import time
@@ -75,13 +76,13 @@ def test_parse_estimator():
     def shape(n, s, n1):
         return LiftShape(n=n, s=s, n1=n1, n2=n + 1 - n1)
 
-    assert parse_estimator("vhm", 32, 6, 4) == (6, shape(32, 6, 16))
-    assert parse_estimator("vhm:2", 32, 6, 4) == (2, shape(32, 2, 16))
-    assert parse_estimator("vhm:2", 32, 6, 4, n1=5) == (2, shape(32, 2, 5))
-    assert parse_estimator("single", 32, 6, 4) == (1, shape(32, 1, 16))
+    assert parse_estimator("vhm", 32, 6, 4) == shape(32, 6, 16)
+    assert parse_estimator("vhm:2", 32, 6, 4) == shape(32, 2, 16)
+    assert parse_estimator("vhm:2", 32, 6, 4, n1=5) == shape(32, 2, 5)
+    assert parse_estimator("single", 32, 6, 4) == shape(32, 1, 16)
     assert parse_estimator("single", 32, 6, 4) \
         == parse_estimator("vhm:1", 32, 6, 4)
-    assert parse_estimator("mmv", 32, 6, 4) == (6, shape(32, 6, 1))
+    assert parse_estimator("mmv", 32, 6, 4) == shape(32, 6, 1)
     for bad in ("vhm:0", "vhm:7", "vhm:x", "esprit"):
         with pytest.raises(ValueError):
             parse_estimator(bad, 32, 6, 4)
@@ -92,7 +93,7 @@ def test_parse_estimator():
             parse_estimator("mmv", 32, 6, 4, n1=n1)
     # n = 16 splits into n1 = 8 and n2 = 9; n1 = 12 leaves n2 = 5
     for est in ("vhm", "vhm:1", "single"):
-        assert parse_estimator(est, 16, 2, 8)[1].n2 == 9
+        assert parse_estimator(est, 16, 2, 8).n2 == 9
         with pytest.raises(ValueError, match="0 <= r < n2, got r=9 and n2=9"):
             parse_estimator(est, 16, 2, 9)
         with pytest.raises(ValueError, match="got r=5 and n2=5"):
@@ -154,6 +155,49 @@ def test_phase_config_validation():
     small_phase_config(distribution="Rademacher", orient_law="bernoulli")
 
 
+# (id, config builder, message): a count is never truncated; a bool is no
+# count
+NOT_INTEGERS = [
+    ("grid_axis1_float", lambda: small_phase_config(axis1_values=(2.7,)),
+     "axis1_values must be an integer, got 2.7"),
+    ("grid_axis2_bool", lambda: small_phase_config(axis2_values=(1, True)),
+     "axis2_values must be an integer, got True"),
+    ("grid_fixed_float", lambda: small_phase_config(fixed={"n": 16.5}),
+     "fixed n must be an integer, got 16.5"),
+    ("grid_fixed_bool", lambda: small_phase_config(fixed={"n": True}),
+     "fixed n must be an integer, got True"),
+    ("grid_trials_float", lambda: small_phase_config(trials=1.5),
+     "trials must be an integer, got 1.5"),
+    ("sweep_n_float", lambda: small_sweep_config(n=16.5),
+     "n must be an integer, got 16.5"),
+    ("sweep_s_float", lambda: small_sweep_config(s=4.0),
+     "s must be an integer, got 4.0"),
+    ("sweep_r_bool", lambda: small_sweep_config(r=True),
+     "r must be an integer, got True"),
+    ("sweep_trials_string", lambda: small_sweep_config(trials="3"),
+     "trials must be an integer, got '3'"),
+    ("solver_max_iters_float", lambda: SolverConfig(max_iters=2.5),
+     "max_iters must be an integer, got 2.5"),
+]
+
+
+@pytest.mark.parametrize("make,message", [row[1:] for row in NOT_INTEGERS],
+                         ids=[row[0] for row in NOT_INTEGERS])
+def test_harness_counts_must_be_integers(make, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        make()
+
+
+def test_harness_counts_take_numpy_integers():
+    grid = small_phase_config(axis1_values=(np.int64(1), np.int32(2)),
+                              fixed={"n": np.int64(16)}, trials=np.int8(3))
+    sweep = small_sweep_config(n=np.int64(32), trials=np.int16(3))
+    solver = SolverConfig(max_iters=np.int64(10))
+    for value in (*grid.axis1_values, grid.fixed["n"], grid.trials,
+                  sweep.n, sweep.trials, solver.max_iters):
+        assert type(value) is int
+
+
 def test_phase_transition_easy_cells_and_determinism(tmp_path):
     cfg = small_phase_config()
     grid = run_phase_transition(cfg)
@@ -189,6 +233,27 @@ def test_phase_transition_failures_counted_not_raised():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
+def test_phase_transition_linalg_failure_is_a_failed_trial(monkeypatch,
+                                                          workers):
+    # the one error a solve raises on a validated config ends its trial
+    # only: the cell records +inf and the grid finishes
+    cfg = small_phase_config(axis1_values=(1,))  # cells s=1 and s=2
+    clean = run_phase_transition(cfg).errors
+    assert np.all(np.isfinite(clean))
+    real = bench.solve_vhl
+
+    def fails_at_s2(y, B, shape, config):
+        if shape.s == 2:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(y, B, shape, config)
+
+    monkeypatch.setattr(bench, "solve_vhl", fails_at_s2)
+    errors = run_phase_transition(cfg, workers=workers).errors
+    assert np.all(errors[0, 1] == np.inf)
+    np.testing.assert_array_equal(errors[0, 0], clean[0, 0])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
 def test_phase_transition_bugs_propagate(monkeypatch, workers):
     # only numerical failures count as failed trials; a bug must surface,
     # and the trials queued behind it must not run
@@ -204,6 +269,17 @@ def test_phase_transition_bugs_propagate(monkeypatch, workers):
     with pytest.raises(TypeError, match="bug"):
         run_phase_transition(small_phase_config(), workers=workers)
     assert next(calls) <= 1 + workers
+
+
+def test_phase_transition_value_error_propagates(monkeypatch):
+    # a ValueError from the trial, such as relative_error's shape mismatch,
+    # is a bug, not a trial that failed to recover
+    def broken(*args, **kwargs):
+        raise ValueError("shape mismatch")
+
+    monkeypatch.setattr(bench, "solve_vhl", broken)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        run_phase_transition(small_phase_config())
 
 
 @pytest.fixture

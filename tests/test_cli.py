@@ -329,9 +329,12 @@ def test_solve_rejects_non_finite_model_json(tmp_path, capsys):
 
 
 # a count must be a JSON integer: a float, a string or a bool is no count,
-# even where int() would take it
+# even where int() would take it; and it must agree with the length of its
+# array (4 taus and amps, 3 x 4 orients, 64 x 3 B)
 COUNTS = {"float_n": ("n", 64.9), "float_r": ("r", 4.5),
-          "string_s": ("s", "3"), "bool_n": ("n", True)}
+          "string_s": ("s", "3"), "bool_n": ("n", True),
+          "zero_r": ("r", 0), "negative_n": ("n", -64),
+          "r_above_taus": ("r", 5), "zero_s": ("s", 0)}
 
 
 @pytest.mark.parametrize("case", ["top_level_list", "null_n", "flat_amps",
