@@ -339,7 +339,11 @@ class SweepConfig:
         check_metric(self.metric)
         check_orient_law(self.orient_law)
         min_separation(self.r, self.delta)
-        grid_size(self.grid_step)
+        points = grid_size(self.grid_step)
+        if points < self.r:
+            raise ValueError("grid_step %r gives a grid of %d points, "
+                             "fewer than the r=%d peaks to pick"
+                             % (self.grid_step, points, self.r))
         for est in self.estimators:
             parse_estimator(est, self.n, self.s, self.r)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import sys
@@ -385,7 +386,11 @@ COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: parse_args
+    leaves it unchanged, so a process that calls main several times builds
+    the five subparsers once."""
     parser = argparse.ArgumentParser(
         prog="vhlift",
         description="Blind super-resolution via a lifted block-Hankel "

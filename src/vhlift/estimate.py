@@ -10,8 +10,9 @@ MUSIC, which needs at least as many rows as sources).  The pseudospectrum
 1/||U_perp^* a_tau||^2 is evaluated on a uniform grid and frequencies are
 picked as the largest strict local maxima on the circular grid.  Its
 denominator g(tau) = a_tau^* P a_tau, with P = U_perp U_perp^*, is a
-trigonometric polynomial whose coefficients are the diagonal sums of P, so
-the whole grid comes from one FFT of those sums.  Amplitudes and
+real trigonometric polynomial whose coefficients are the diagonal sums of
+P, so the whole grid comes from one real inverse FFT of the half spectrum
+of those sums folded modulo the grid count.  Amplitudes and
 orientations are then recovered by least squares against the steering
 matrix at the estimated frequencies.
 """
@@ -154,6 +155,10 @@ def pseudospectrum(u_perp: np.ndarray, step: float = GRID_STEP
     The denominator g(tau) = sum_d c_d exp(2i pi d tau) has as coefficient
     c_d the sum of the d-th diagonal of P = U_perp U_perp^*, so g on the
     grid is count times one inverse FFT of the c_d folded modulo count.
+    P is Hermitian, so c_{-d} = conj(c_d) and the folded spectrum F obeys
+    F[count - k] = conj(F[k]) for every count, odd or even, aliased or
+    not: g is real, and one real inverse FFT of the count // 2 + 1 bins of
+    the half spectrum gives it.
     Values blow up near true frequencies of exact low-rank data; that is
     the signal being looked for.  Where roundoff leaves g <= 0 the value
     is inf.
@@ -166,9 +171,9 @@ def pseudospectrum(u_perp: np.ndarray, step: float = GRID_STEP
     P = u_perp @ u_perp.conj().T
     j = np.arange(P.shape[0])
     diag = ((j[:, None] - j[None, :]) % count).ravel()  # d = j - k mod count
-    coeffs = (np.bincount(diag, P.real.ravel(), count)
-              + 1j * np.bincount(diag, P.imag.ravel(), count))
-    g = np.fft.ifft(coeffs).real * count
+    coeffs = (np.bincount(diag, P.real.ravel(), count)[:count // 2 + 1]
+              + 1j * np.bincount(diag, P.imag.ravel(), count)[:count // 2 + 1])
+    g = np.fft.irfft(coeffs, count) * count
     with np.errstate(divide="ignore"):
         values = 1.0 / g
     values[g <= 0.0] = np.inf

@@ -478,6 +478,12 @@ def test_sweep_config_validation():
     # r >= n2 is found when the config is built, not inside the first trial
     with pytest.raises(ValueError, match="0 <= r < n2, got r=9 and n2=9"):
         SweepConfig(n=16, s=2, r=9, estimators=("vhm",), trials=4)
+    # and so is a grid with fewer points than peaks to pick
+    with pytest.raises(ValueError, match=r"grid_step 1\.0 gives a grid of 1 "
+                       r"points, fewer than the r=2 peaks"):
+        SweepConfig(n=16, s=2, r=2, estimators=("vhm:1",), grid_step=1.0)
+    assert SweepConfig(n=16, s=2, r=2, estimators=("vhm:1",),
+                       grid_step=0.5).r == 2
 
 
 def test_sweep_runs_and_orders(tmp_path):

@@ -455,6 +455,28 @@ def test_music_mmv_rejects_n1(tmp_path, capsys, n1):
     assert not any(out.iterdir())
 
 
+def test_parser_built_once_and_reused(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert run_cli("synth", "--n", 16, "--s", 2, "--r", 2,
+                   "--out-dir", tmp_path) == 0
+    capsys.readouterr()
+    # the parser an earlier call used still rejects a bad command line,
+    # with the same usage error as a freshly built parser
+    for argv, message in (
+            (["synth", "--n"], "argument --n: expected one argument"),
+            (["synth", "--bogus"], "unrecognized arguments: --bogus"),
+            ([], "the following arguments are required: command")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: vhlift ")
+        assert err.endswith("error: %s\n" % message)
+        with pytest.raises(SystemExit):
+            cli.build_parser.__wrapped__().parse_args(argv)
+        assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize("argv", [
     ("music", "--x", "X.csv", "--r", 4, "--rows", 2),
     ("music", "--x", "X.csv", "--r", 4, "--estimator", "single", "--row", 0),
@@ -734,6 +756,16 @@ def test_snr_sweep_model_order_checked_before_trials(tmp_path, capsys):
     assert capsys.readouterr().err == \
         "error: model order must satisfy 0 <= r < n2, got r=9 and n2=9\n"
     assert not any(tmp_path.iterdir())
+
+
+def test_snr_sweep_grid_below_r_checked_before_trials(tmp_path, capsys):
+    # step 1.0 gives one grid point, and r = 2 peaks cannot be picked on it
+    assert run_cli("snr-sweep", "--n", 16, "--s", 2, "--r", 2, "--snr", 20,
+                   "--estimators", "vhm:1", "--trials", 1, "--grid-step", 1.0,
+                   "--out-dir", tmp_path) == 2
+    assert capsys.readouterr().err == "error: grid_step 1.0 gives a grid " \
+        "of 1 points, fewer than the r=2 peaks to pick\n"
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 # ------------------------------------------------------------- config file

@@ -179,8 +179,9 @@ def test_pseudospectrum_matches_steering_oracle():
     rng = np.random.default_rng(21)
     Z = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))
     u_perp = np.linalg.qr(Z)[0][:, 4:]
-    # step 0.05 gives 20 points, fewer than m = 33: the diagonals fold
-    for step in (1e-3, 0.05):
+    # step 0.05 gives 20 points, fewer than m = 33: the diagonals fold; the
+    # real inverse FFT takes odd and even counts, down to 1, 2 and 3 points
+    for step in (1e-3, 0.05, 1.0, 0.5, 1.0 / 3.0, 1.0 / 999.0):
         curve = pseudospectrum(u_perp, step)
         power = steering_power(u_perp, step)
         assert np.all(power >= 1e-8)  # no exact peak: compare everywhere
@@ -205,6 +206,15 @@ def test_pseudospectrum_positive_at_exact_peaks():
         assert np.all(values[on_grid] >= 1e12)
 
 
+def assert_peaks_match_oracle(u_perp, r):
+    curve = pseudospectrum(u_perp, GRID_STEP)
+    with np.errstate(divide="ignore"):
+        oracle = PseudospectrumCurve(
+            grid=curve.grid, values=1.0 / steering_power(u_perp, GRID_STEP))
+    np.testing.assert_array_equal(pick_peaks(curve, r).taus,
+                                  pick_peaks(oracle, r).taus)
+
+
 def test_peaks_match_steering_oracle_on_criterion_10_instances():
     # the instances of acceptance criterion 10
     n, r = 64, 4
@@ -217,13 +227,21 @@ def test_peaks_match_steering_oracle_on_criterion_10_instances():
         for u_perp in (noise_subspace(multi, r, "vhm"),
                        noise_subspace(single[0], r, "single"),
                        noise_subspace(multi, r, "mmv")):
-            curve = pseudospectrum(u_perp, GRID_STEP)
-            with np.errstate(divide="ignore"):
-                oracle = PseudospectrumCurve(
-                    grid=curve.grid,
-                    values=1.0 / steering_power(u_perp, GRID_STEP))
-            np.testing.assert_array_equal(pick_peaks(curve, r).taus,
-                                          pick_peaks(oracle, r).taus)
+            assert_peaks_match_oracle(u_perp, r)
+
+
+def test_peaks_match_steering_oracle_on_noisy_sweep_instances():
+    # the shapes of the default snr-sweep: n = 64, s = 6, r = 4, vhm:K rows
+    n, s, r = 64, 6, 4
+    for trial in range(7):
+        rng = np.random.default_rng(2000 + trial)
+        X = synthesize_data_matrix(
+            sample_model(r, s, seed=rng, delta=1.0 / n), n)
+        for snr in (10.0, 20.0, 30.0):
+            noisy = add_noise(X, snr, seed=rng)
+            for rows in (1, 2, 4, 6):
+                assert_peaks_match_oracle(
+                    noise_subspace(noisy, r, "vhm:%d" % rows), r)
 
 
 # ---------------------------------------------------------------- peaks
