@@ -35,7 +35,7 @@ import numpy as np
 
 from .estimate import (
     GRID_STEP,
-    grid_size,
+    check_grid,
     noise_subspace,
     parse_estimator,
     pick_peaks,
@@ -339,11 +339,7 @@ class SweepConfig:
         check_metric(self.metric)
         check_orient_law(self.orient_law)
         min_separation(self.r, self.delta)
-        points = grid_size(self.grid_step)
-        if points < self.r:
-            raise ValueError("grid_step %r gives a grid of %d points, "
-                             "fewer than the r=%d peaks to pick"
-                             % (self.grid_step, points, self.r))
+        check_grid(self.grid_step, self.r)
         for est in self.estimators:
             parse_estimator(est, self.n, self.s, self.r)
 

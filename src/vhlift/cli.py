@@ -31,6 +31,7 @@ from .bench import (
 )
 from .estimate import (
     GRID_STEP,
+    check_grid,
     noise_subspace,
     pick_peaks,
     pseudospectrum,
@@ -325,6 +326,7 @@ def cmd_music(opts) -> int:
     if opts["r"] is None:
         raise ValueError("--r (model order) is required")
     r, estimator = opts["r"], opts["estimator"]
+    check_grid(opts["grid_step"], r)
     X = io.read_complex_matrix_csv(opts["x"])
     u_perp = noise_subspace(X, r, estimator, opts["n1"])
     curve = pseudospectrum(u_perp, opts["grid_step"])

@@ -34,6 +34,7 @@ __all__ = [
     "parse_estimator",
     "noise_subspace",
     "grid_size",
+    "check_grid",
     "pseudospectrum",
     "pick_peaks",
     "recover_amplitudes",
@@ -119,8 +120,8 @@ def noise_subspace(X: np.ndarray, r: int, estimator: str,
     """
     X = np.atleast_2d(np.asarray(X))
     shape = parse_estimator(estimator, X.shape[1], X.shape[0], r, n1)
-    X = X[:shape.s]
-    if np.linalg.norm(X) == 0.0:
+    X, e = _unit_peak(X[:shape.s])
+    if e is None:
         raise ValueError("data matrix is zero; its singular subspaces "
                          "are undefined")
     M = vec_hankel(X, shape).T
@@ -128,6 +129,27 @@ def noise_subspace(X: np.ndarray, r: int, estimator: str,
     # of M, all n2 of them, without M's right singular vectors
     V = np.linalg.eigh(M @ M.conj().T)[1][:, ::-1]
     return V[:, r:]
+
+
+def _unit_peak(X: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """X * 2^-e and e, with e the np.frexp exponent of X's largest real or
+    imaginary part, which X * 2^-e brings into [0.5, 1); (X, None) for a
+    zero X.
+
+    A power of two scales exactly, short of underflow, so a Gram product
+    or a least-squares solve of X * 2^-e neither overflows nor underflows
+    at any finite scale of X, and its results scale back by 2^e.  2^-e is
+    applied as two factors, since it alone overflows for a subnormal peak.
+    """
+    peak = max(np.abs(X.real).max(initial=0.0),
+               np.abs(X.imag).max(initial=0.0))
+    if peak == 0.0:
+        return X, None
+    e = int(np.frexp(peak)[1])
+    half = e // 2
+    X = X * 2.0 ** -half
+    X *= 2.0 ** (half - e)
+    return X, e
 
 
 def grid_size(step: float) -> int:
@@ -145,6 +167,15 @@ def grid_size(step: float) -> int:
     if count < 1:
         raise ValueError("grid step too large")
     return count
+
+
+def check_grid(step: float, r: int) -> None:
+    """Reject a step that grid_size rejects or whose grid has fewer than
+    the r points that picking r peaks needs."""
+    count = grid_size(step)
+    if count < r:
+        raise ValueError("grid_step %r gives a grid of %d points, fewer "
+                         "than the r=%d peaks to pick" % (step, count, r))
 
 
 def pseudospectrum(u_perp: np.ndarray, step: float = GRID_STEP
@@ -227,6 +258,8 @@ def recover_amplitudes(X: np.ndarray, taus_hat) -> RecoveredSources:
     if r > n:
         raise ValueError("more frequencies than samples")
     A = steering_matrix(taus_hat, n)
+    # solved at a unit peak (see _unit_peak); amps and residual scale back
+    X, e = _unit_peak(X)
     Wt, _, _, sv = np.linalg.lstsq(A, X.T, rcond=None)
     W = Wt.T
     amps = np.linalg.norm(W, axis=0)
@@ -234,8 +267,10 @@ def recover_amplitudes(X: np.ndarray, taus_hat) -> RecoveredSources:
     orients = np.zeros_like(W)
     orients[0] = 1.0  # e_0 for a zero column
     orients[:, live] = W[:, live] / amps[live]
-    residual = float(np.linalg.norm(X - W @ A.T))
+    residual = np.linalg.norm(X - W @ A.T)
+    if e is not None:
+        amps, residual = np.ldexp(amps, e), np.ldexp(residual, e)
     # multiplied, not divided, so that sv[-1] = 0 reads as ill-conditioned
     return RecoveredSources(taus_hat=taus_hat, amps_hat=amps,
-                            orients_hat=orients, residual=residual,
+                            orients_hat=orients, residual=float(residual),
                             ill_conditioned=bool(sv[0] > COND_LIMIT * sv[-1]))

@@ -47,9 +47,13 @@ class LiftShape:
 
     @classmethod
     def default(cls, n, s, n1=None):
-        """Near-square split: n1 = floor((n+1)/2) unless overridden."""
+        """Near-square split: n1 = floor((n+1)/2) unless overridden by an
+        n1 in 1 .. n."""
         if n1 is None:
             n1 = (n + 1) // 2
+        elif not 1 <= n1 <= n:
+            raise ValueError("n1 must be between 1 and n=%d, got %d"
+                             % (n, n1))
         return cls(n=n, s=s, n1=n1, n2=n + 1 - n1)
 
 

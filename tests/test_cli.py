@@ -255,6 +255,17 @@ def test_solve_recovers_synth_output(tmp_path):
     X_true = io.read_complex_matrix_csv(x_path)
     rel = np.linalg.norm(X_hat - X_true) / np.linalg.norm(X_true)
     assert rel < 1e-3
+    # n1 = 5 makes a wide 15 x 60 lift, which svt transposes; that split
+    # does not recover X, but its Xhat still meets the measurements
+    wide = tmp_path / "wide"
+    wide.mkdir()
+    assert run_cli("solve", "--model", model_path, "--y", tmp_path / "y.csv",
+                   "--n1", 5, "--out-dir", wide) == 0
+    _, B = io.read_problem(model_path)
+    y = io.read_complex_vector_csv(tmp_path / "y.csv")
+    X_wide = io.read_complex_matrix_csv(wide / "Xhat.csv")
+    assert np.linalg.norm(apply_measurement(X_wide, B) - y) \
+        <= 1e-12 * np.linalg.norm(y)
 
 
 def test_solve_iterations_do_not_depend_on_data_units(tmp_path, capsys):
@@ -361,6 +372,7 @@ def test_solve_rejects_malformed_model_json(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: malformed problem file %s: " % bad)
     assert err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_solve_nonconvergence_exit_3(tmp_path):
@@ -389,8 +401,40 @@ def test_music_finds_noiseless_frequencies(tmp_path):
     curve_lines = (tmp_path / "pseudospectrum.csv").read_text().splitlines()
     assert curve_lines[0] == "tau,f"
     assert len(curve_lines) == 10001
+    assert all(float(line.split(",")[1]) > 0 for line in curve_lines[1:])
     svg = (tmp_path / "pseudospectrum.svg").read_text()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+    # 5 points, odd and below 2 n2 - 1, so the diagonals of P alias; and
+    # 999 points, odd and unaliased
+    for step, count in (("0.2", 5), ("0.001001001001001001", 999)):
+        out = tmp_path / ("step" + step)
+        out.mkdir()
+        assert run_cli("music", "--x", x_path, "--r", 4, "--grid-step", step,
+                       "--out-dir", out) == 0
+        lines = (out / "pseudospectrum.csv").read_text().splitlines()
+        assert len(lines) == count + 1
+        assert all(float(line.split(",")[1]) > 0 for line in lines[1:])
+    # the same picks from X at any finite scale, and amplitudes that scale
+    # with it; nothing written is nan or a bare Infinity
+    X = io.read_complex_matrix_csv(x_path)
+    for factor in (1e160, 1e-170, 1e300, 1e-300):
+        out = tmp_path / ("x%g" % factor)
+        out.mkdir()
+        io.write_complex_matrix_csv(out / "X.csv", factor * X)
+        assert run_cli("music", "--x", out / "X.csv", "--r", 4,
+                       "--out-dir", out) == 0
+        scaled = json.loads((out / "sources.json").read_text(),
+                            parse_constant=_reject_constant)
+        assert scaled["taus_hat"] == doc["taus_hat"]
+        assert scaled["padded_peaks"] is False
+        np.testing.assert_allclose(scaled["amps_hat"],
+                                   factor * np.array(doc["amps_hat"]),
+                                   rtol=1e-12)
+        assert "nan" not in (out / "pseudospectrum.csv").read_text()
+
+
+def _reject_constant(name):
+    raise ValueError("%s is not JSON" % name)
 
 
 def test_music_single_row_equals_vhm_on_one_row(tmp_path):
@@ -832,6 +876,12 @@ def test_config_file_errors(tmp_path, capsys):
     ("music", {"svg": 1}, "svg must be true or false"),
     # an integer no float can hold is no number either
     ("solve", {"rho": 10 ** 400}, "rho must be a number"),
+    # a split outside 1 <= n1 <= n names n1 and its range
+    ("solve", {"n1": 70}, "n1 must be between 1 and n=64, got 70\n"),
+    ("music", {"n1": 0}, "n1 must be between 1 and n=64, got 0\n"),
+    # a grid too coarse for r peaks is found before X.csv is read
+    ("music", {"grid_step": 0.5, "x": "missing.csv"}, "grid_step 0.5 gives "
+     "a grid of 2 points, fewer than the r=4 peaks to pick\n"),
 ])
 def test_config_value_of_wrong_type_or_removed_key(tmp_path, monkeypatch, capsys, command,
                                     doc, message):

@@ -66,6 +66,12 @@ def test_vhm_subspace_validation():
     X = np.ones((2, 16))
     with pytest.raises(ValueError):
         noise_subspace(X, shape.n2, "vhm")
+    # a subnormal or a near-overflow peak is no zero matrix, and a
+    # power-of-two multiple of X has X's subspace, to the byte
+    want = noise_subspace(X, 1, "vhm")
+    for tiny_or_huge in (5e-324, 2.0 ** 1023):
+        assert np.array_equal(noise_subspace(tiny_or_huge * X, 1, "vhm"),
+                              want)
 
 
 def test_single_row_matches_vhm_at_s1():
@@ -132,9 +138,17 @@ def test_noise_subspace_matches_svd_projector():
                                            np.eye(k), rtol=0, atol=1e-10)
                 U = np.linalg.svd(lift(data).T)[0][:, r:]
                 assert U.shape == u_perp.shape, est
-                np.testing.assert_allclose(u_perp @ u_perp.conj().T,
-                                           U @ U.conj().T, rtol=0,
+                P = u_perp @ u_perp.conj().T
+                np.testing.assert_allclose(P, U @ U.conj().T, rtol=0,
                                            atol=1e-10, err_msg=est)
+                # the Gram of the data would overflow or underflow here
+                for factor in (1e160, 1e-160, 1e300, 1e-300):
+                    V = noise_subspace(factor * data, r, est)
+                    np.testing.assert_allclose(V @ V.conj().T, P, rtol=0,
+                                               atol=1e-12, err_msg=est)
+                for factor in (2.0 ** 500, 2.0 ** -500):
+                    assert np.array_equal(
+                        noise_subspace(factor * data, r, est), u_perp), est
 
 
 # ---------------------------------------------------------------- curve
@@ -325,6 +339,13 @@ def test_recover_exact_coefficients():
                                atol=1e-12)
     assert src.residual < 1e-9
     assert not src.ill_conditioned
+    for factor in (1e160, 1e-160, 1e300, 1e-300):
+        scaled = recover_amplitudes(factor * X, m.taus)
+        np.testing.assert_allclose(scaled.amps_hat, factor * src.amps_hat,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(scaled.orients_hat, src.orients_hat,
+                                   rtol=0, atol=1e-12)
+        assert scaled.residual < 1e-9 * factor
 
 
 def test_recover_psf_up_to_phase():
@@ -404,10 +425,14 @@ def test_noiseless_pipeline_three_estimators():
         n = 48
         m = sample_model(4, 4, seed=seed, delta=1.0 / n)
         X = synthesize_data_matrix(m, n)
-        for u_perp in (noise_subspace(X, 4, "vhm"),
-                       noise_subspace(X[0], 4, "single"),
-                       noise_subspace(X, 4, "mmv")):
+        for data, est in ((X, "vhm"), (X[0], "single"), (X, "mmv")):
+            u_perp = noise_subspace(data, 4, est)
             peaks = pick_peaks(pseudospectrum(u_perp), 4)
             err = max(min(wrap_dist(t, th) for th in peaks.taus)
                       for t in m.taus)
-            assert err <= GRID_STEP, (seed, u_perp.shape[0])
+            assert err <= GRID_STEP, (seed, est)
+            for factor in (1e160, 1e-160, 1e300, 1e-300):
+                scaled = pick_peaks(pseudospectrum(
+                    noise_subspace(factor * data, 4, est)), 4)
+                assert np.array_equal(scaled.taus, peaks.taus), (seed, est)
+                assert scaled.padded == peaks.padded
