@@ -4,7 +4,6 @@ experiment harnesses."""
 
 from .lift import (
     LiftShape,
-    hankel_basis_matrix,
     hankel_weights,
     iso_lift,
     iso_lift_adjoint,

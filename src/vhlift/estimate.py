@@ -1,18 +1,17 @@
 """Frequency retrieval and amplitude recovery.
 
-One MUSIC-style noise subspace: the left singular vectors of the transposed
-vectorized Hankel lift of the data rows, beyond the top r, taken as
-eigenvectors of the lift's small Gram matrix.  The estimators
-are lift shapes: "vhm" lifts all (or the first K) rows at the default
-split, "single" lifts one row, and "mmv" lifts all rows at n1 = 1, where the
-lift is the data matrix itself (classical multiple-measurement-vector
-MUSIC, which needs at least as many rows as sources).  The pseudospectrum
-1/||U_perp^* a_tau||^2 is evaluated on a uniform grid and frequencies are
-picked as the largest strict local maxima on the circular grid.  Its
-denominator g(tau) = a_tau^* P a_tau, with P = U_perp U_perp^*, is a
-real trigonometric polynomial whose coefficients are the diagonal sums of
-P, so the whole grid comes from one real inverse FFT of the half spectrum
-of those sums folded modulo the grid count.  Amplitudes and
+One decomposition of the transposed vectorized Hankel lift of the data
+rows, lift_spectrum, from the eigenpairs of its small Gram matrix; the
+MUSIC noise subspace is its left singular vectors beyond the top r.  The
+estimators are lift shapes: "vhm" lifts all (or the first K) rows at the
+default split, "single" lifts one row, and "mmv" lifts all rows at n1 = 1,
+where the lift is the data matrix itself (classical MMV MUSIC).  The
+pseudospectrum 1/||U_perp^* a_tau||^2 is evaluated on a uniform grid and
+frequencies are picked as the largest strict local maxima on the circular
+grid.  Its denominator g(tau) = a_tau^* P a_tau, with P = U_perp U_perp^*,
+is a real trigonometric polynomial whose coefficients are the diagonal
+sums of P, so the whole grid comes from one real inverse FFT of the half
+spectrum of those sums folded modulo the grid count.  Amplitudes and
 orientations are then recovered by least squares against the steering
 matrix at the estimated frequencies.
 """
@@ -32,6 +31,7 @@ __all__ = [
     "PeakSelection",
     "RecoveredSources",
     "parse_estimator",
+    "lift_spectrum",
     "noise_subspace",
     "grid_size",
     "check_grid",
@@ -80,12 +80,10 @@ def parse_estimator(name: str, n: int, s: int, r: int,
 
     Tags: "vhm" lifts all s rows and "vhm:K" the first K, at the split n1
     (near-square by default); "single" is "vhm:1"; "mmv" lifts all rows at
-    n1 = 1, so it takes no n1 and needs r <= s.  Every tag needs
-    0 <= r < n2.
+    n1 = 1 and takes no n1.  The lift of `rows` rows has rank <= rows * n1,
+    so every tag needs 0 <= r <= min(rows * n1, n2 - 1).
     """
     if name == "mmv":
-        if r > s:
-            raise ValueError("mmv needs r <= s")
         if n1 is not None:
             raise ValueError("mmv lifts at n1 = 1 and takes no n1, got %r"
                              % (n1,))
@@ -103,32 +101,38 @@ def parse_estimator(name: str, n: int, s: int, r: int,
     else:
         raise ValueError("unknown estimator %r" % name)
     shape = LiftShape.default(n, rows, n1)
-    if not 0 <= r < shape.n2:
-        raise ValueError("model order must satisfy 0 <= r < n2, got r=%d "
-                         "and n2=%d" % (r, shape.n2))
+    if not 0 <= r <= min(rows * shape.n1, shape.n2 - 1):
+        raise ValueError("model order must satisfy 0 <= r <= min(rows*n1, "
+                         "n2 - 1), got r=%d, rows*n1=%d and n2=%d"
+                         % (r, rows * shape.n1, shape.n2))
     return shape
+
+
+def lift_spectrum(X: np.ndarray, shape: LiftShape
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """sigma / sigma_1 of the transposed lift vec_hankel(X[:shape.s]).T in
+    descending order, and its n2 left singular vectors as columns in that
+    order, from one eigh of its Gram matrix at a unit peak (see _unit_peak),
+    so finite at any finite scale of X; values below about 1e-7 are
+    rounding, since the Gram squares them."""
+    X, e = _unit_peak(np.atleast_2d(np.asarray(X))[:shape.s])
+    if e is None:
+        raise ValueError("data matrix is zero; its singular subspaces "
+                         "are undefined")
+    M = vec_hankel(X, shape).T
+    w, V = np.linalg.eigh(M @ M.conj().T)
+    w = np.sqrt(np.maximum(w[::-1] / w[-1], 0.0))
+    return w, V[:, ::-1]
 
 
 def noise_subspace(X: np.ndarray, r: int, estimator: str,
                    n1: int | None = None) -> np.ndarray:
     """Noise subspace U_perp of an s x n data matrix by estimator tag and
-    lift split n1, which "mmv" rejects (see parse_estimator).
-
-    The signal space is spanned by the top r left singular vectors of the
-    transposed lift vec_hankel(X[:shape.s]).T; the other n2 - r columns
-    are returned as an n2 x (n2 - r) matrix with orthonormal columns.
-    """
+    lift split n1 (see parse_estimator): the n2 x (n2 - r) orthonormal left
+    singular vectors of lift_spectrum beyond the top r."""
     X = np.atleast_2d(np.asarray(X))
     shape = parse_estimator(estimator, X.shape[1], X.shape[0], r, n1)
-    X, e = _unit_peak(X[:shape.s])
-    if e is None:
-        raise ValueError("data matrix is zero; its singular subspaces "
-                         "are undefined")
-    M = vec_hankel(X, shape).T
-    # eigenvectors of the n2 x n2 Gram matrix are the left singular vectors
-    # of M, all n2 of them, without M's right singular vectors
-    V = np.linalg.eigh(M @ M.conj().T)[1][:, ::-1]
-    return V[:, r:]
+    return lift_spectrum(X, shape)[1][:, r:]
 
 
 def _unit_peak(X: np.ndarray) -> tuple[np.ndarray, int | None]:

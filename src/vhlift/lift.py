@@ -4,14 +4,14 @@ The central map sends an s-by-n data matrix X to the (s*n1)-by-n2 matrix
 whose (j, k) block (an s-vector) is column j+k of X, with n1 + n2 = n + 1.
 Around it the module provides the adjoint, the anti-diagonal weights w
 (adjoint-after-lift scales column i by w_i), the isometric rescaling G,
-the orthonormal basis of weighted Hankel matrices, and the per-row stacked
-variant (a row permutation of the block lift).
+and the per-row stacked variant (a row permutation of the block lift).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "vec_hankel_adjoint",
     "iso_lift",
     "iso_lift_adjoint",
-    "hankel_basis_matrix",
     "stacked_hankel",
 ]
 
@@ -37,6 +36,12 @@ class LiftShape:
     n2: int
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, bool) \
+                    or not isinstance(value, numbers.Integral):
+                raise ValueError("%s must be an integer, got %r"
+                                 % (field.name, value))
         if self.n < 1 or self.s < 1:
             raise ValueError("n and s must be positive")
         if self.n1 < 1 or self.n2 < 1:
@@ -52,7 +57,7 @@ class LiftShape:
         if n1 is None:
             n1 = (n + 1) // 2
         elif not 1 <= n1 <= n:
-            raise ValueError("n1 must be between 1 and n=%d, got %d"
+            raise ValueError("n1 must be between 1 and n=%s, got %s"
                              % (n, n1))
         return cls(n=n, s=s, n1=n1, n2=n + 1 - n1)
 
@@ -125,17 +130,6 @@ def iso_lift(X: np.ndarray, shape: LiftShape) -> np.ndarray:
 def iso_lift_adjoint(Z: np.ndarray, shape: LiftShape) -> np.ndarray:
     """Adjoint of iso_lift; iso_lift_adjoint(iso_lift(X)) == X."""
     return vec_hankel_adjoint(Z, shape) * hankel_weights(shape) ** -0.5
-
-
-def hankel_basis_matrix(i: int, shape: LiftShape) -> np.ndarray:
-    """i-th orthonormal Hankel basis matrix, n1 x n2, supported on j + k = i."""
-    if not 0 <= i < shape.n:
-        raise IndexError("anti-diagonal index out of range")
-    w = hankel_weights(shape)
-    G = np.zeros((shape.n1, shape.n2))
-    j = np.arange(max(0, i - shape.n2 + 1), min(shape.n1 - 1, i) + 1)
-    G[j, i - j] = 1.0 / np.sqrt(w[i])
-    return G
 
 
 def stacked_hankel(X: np.ndarray, shape: LiftShape) -> np.ndarray:

@@ -72,6 +72,13 @@ def test_hausdorff_metrics():
 
 # ---------------------------------------------------------------- estimators
 
+def order_error(r, rows_n1, n2):
+    """The whole model-order message, as a pattern for pytest.raises."""
+    return "^%s$" % re.escape(
+        "model order must satisfy 0 <= r <= min(rows*n1, n2 - 1), got "
+        "r=%d, rows*n1=%d and n2=%d" % (r, rows_n1, n2))
+
+
 def test_parse_estimator():
     def shape(n, s, n1):
         return LiftShape(n=n, s=s, n1=n1, n2=n + 1 - n1)
@@ -86,20 +93,29 @@ def test_parse_estimator():
     for bad in ("vhm:0", "vhm:7", "vhm:x", "esprit"):
         with pytest.raises(ValueError):
             parse_estimator(bad, 32, 6, 4)
-    with pytest.raises(ValueError, match="mmv needs r <= s"):
+    # mmv lifts s = 3 rows at n1 = 1, so its rank bound is s
+    with pytest.raises(ValueError, match=order_error(4, 3, 32)):
         parse_estimator("mmv", 32, 3, 4)
     for n1 in (1, 7, 0):
         with pytest.raises(ValueError, match="takes no n1"):
             parse_estimator("mmv", 32, 6, 4, n1=n1)
     # n = 16 splits into n1 = 8 and n2 = 9; n1 = 12 leaves n2 = 5
-    for est in ("vhm", "vhm:1", "single"):
+    for est, rows in (("vhm", 2), ("vhm:1", 1), ("single", 1)):
         assert parse_estimator(est, 16, 2, 8).n2 == 9
-        with pytest.raises(ValueError, match="0 <= r < n2, got r=9 and n2=9"):
+        with pytest.raises(ValueError, match=order_error(9, rows * 8, 9)):
             parse_estimator(est, 16, 2, 9)
-        with pytest.raises(ValueError, match="got r=5 and n2=5"):
+        with pytest.raises(ValueError, match=order_error(5, rows * 12, 5)):
             parse_estimator(est, 16, 2, 5, n1=12)
-    with pytest.raises(ValueError, match="0 <= r < n2, got r=2 and n2=2"):
+    with pytest.raises(ValueError, match=order_error(2, 3, 2)):
         parse_estimator("mmv", 2, 3, 2)
+    # under a thin split the lift's rank bound rows * n1 sits below n2 - 1
+    assert parse_estimator("vhm:2", 64, 3, 4, n1=2) == shape(64, 2, 2)
+    with pytest.raises(ValueError, match=order_error(5, 4, 63)):
+        parse_estimator("vhm:2", 64, 3, 5, n1=2)
+    with pytest.raises(ValueError, match=order_error(4, 3, 62)):
+        parse_estimator("single", 64, 3, 4, n1=3)
+    with pytest.raises(ValueError, match=order_error(-1, 64, 33)):
+        parse_estimator("vhm:2", 64, 3, -1)
 
 
 def test_estimate_frequencies_noiseless():
@@ -476,7 +492,7 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError, match="orient_law must be 'gaussian'"):
         small_sweep_config(orient_law="uniform")
     # r >= n2 is found when the config is built, not inside the first trial
-    with pytest.raises(ValueError, match="0 <= r < n2, got r=9 and n2=9"):
+    with pytest.raises(ValueError, match=order_error(9, 16, 9)):
         SweepConfig(n=16, s=2, r=9, estimators=("vhm",), trials=4)
     # and so is a grid with fewer points than peaks to pick
     with pytest.raises(ValueError, match=r"grid_step 1\.0 gives a grid of 1 "

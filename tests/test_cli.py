@@ -454,7 +454,7 @@ def test_music_single_row_equals_vhm_on_one_row(tmp_path):
     assert got["taus_hat"] == want["taus_hat"]
 
 
-def test_music_error_exit_codes(tmp_path):
+def test_music_error_exit_codes(tmp_path, capsys):
     _, x_path, _ = synth_files(tmp_path)
     assert run_cli("music", "--x", x_path, "--out-dir", tmp_path) == 2
     assert run_cli("music", "--x", x_path, "--r", 5, "--estimator", "mmv",
@@ -463,6 +463,17 @@ def test_music_error_exit_codes(tmp_path):
                    "--out-dir", tmp_path) == 2
     assert run_cli("music", "--x", tmp_path / "nope.csv", "--r", 4,
                    "--out-dir", tmp_path) == 4
+    # a lift of rows rows at split n1 has rank at most rows * n1 < r = 4
+    out = tmp_path / "out"
+    out.mkdir()
+    for tag, n1, rows_n1, n2 in (("single", 3, 3, 62), ("vhm:2", 1, 2, 64)):
+        capsys.readouterr()
+        assert run_cli("music", "--x", x_path, "--r", 4, "--estimator", tag,
+                       "--n1", n1, "--out-dir", out) == 2
+        assert capsys.readouterr().err == "error: model order must satisfy " \
+            "0 <= r <= min(rows*n1, n2 - 1), got r=4, rows*n1=%d and n2=%d\n" \
+            % (rows_n1, n2)
+        assert not any(out.iterdir())
 
 
 def test_music_tag_matches_sweep_estimator(tmp_path, capsys):
@@ -798,7 +809,8 @@ def test_snr_sweep_model_order_checked_before_trials(tmp_path, capsys):
                    "--estimators", "vhm", "--trials", 4,
                    "--out-dir", tmp_path) == 2
     assert capsys.readouterr().err == \
-        "error: model order must satisfy 0 <= r < n2, got r=9 and n2=9\n"
+        "error: model order must satisfy 0 <= r <= min(rows*n1, n2 - 1), " \
+        "got r=9, rows*n1=16 and n2=9\n"
     assert not any(tmp_path.iterdir())
 
 

@@ -2,6 +2,7 @@
 least-squares source recovery."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from vhlift import io
 from vhlift.estimate import (
     PseudospectrumCurve,
     grid_size,
+    lift_spectrum,
     noise_subspace,
+    parse_estimator,
     pick_peaks,
     pseudospectrum,
     recover_amplitudes,
@@ -66,6 +69,10 @@ def test_vhm_subspace_validation():
     X = np.ones((2, 16))
     with pytest.raises(ValueError):
         noise_subspace(X, shape.n2, "vhm")
+    for n1 in (5.5, 8.0):
+        with pytest.raises(ValueError,
+                           match="^n1 must be an integer, got %r$" % n1):
+            noise_subspace(X, 1, "vhm", n1=n1)
     # a subnormal or a near-overflow peak is no zero matrix, and a
     # power-of-two multiple of X has X's subspace, to the byte
     want = noise_subspace(X, 1, "vhm")
@@ -149,6 +156,31 @@ def test_noise_subspace_matches_svd_projector():
                 for factor in (2.0 ** 500, 2.0 ** -500):
                     assert np.array_equal(
                         noise_subspace(factor * data, r, est), u_perp), est
+                # the noise subspace is a slice of the one lift spectrum
+                sigma, V = lift_spectrum(data,
+                                         parse_estimator(est, n, s, r))
+                assert V[:, r:].tobytes() == u_perp.tobytes(), est
+                assert sigma.shape == (V.shape[0],) and sigma[0] == 1.0
+                assert np.all(np.diff(sigma) <= 0.0), est
+                # the Gram route squares the values, so its floor is about
+                # sqrt(eps) * sigma_1: relative accuracy holds only above it
+                sv = np.linalg.svd(lift(data), compute_uv=False)
+                sv = np.pad(sv / sv[0], (0, sigma.size - sv.size))
+                big = sv >= 1e-2
+                np.testing.assert_allclose(sigma[big], sv[big], rtol=1e-10,
+                                           atol=0, err_msg=est)
+                np.testing.assert_allclose(sigma, sv, rtol=0, atol=1e-7,
+                                           err_msg=est)
+    # finite and silent at the ends of the double range
+    unit = X / np.abs(X).max()
+    for data in (np.ones((s, n)), unit):
+        for scale in (2.0 ** 1023, 2.0 ** -1023, 5e-324):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sigma, V = lift_spectrum(scale * data,
+                                         LiftShape.default(n, s))
+            assert np.isfinite(sigma).all() and np.isfinite(V).all()
+            assert sigma[0] == 1.0
 
 
 # ---------------------------------------------------------------- curve

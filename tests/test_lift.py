@@ -15,7 +15,6 @@ import pytest
 from vhlift.lift import (
     LiftShape,
     _gather_index,
-    hankel_basis_matrix,
     hankel_weights,
     iso_lift,
     iso_lift_adjoint,
@@ -33,6 +32,17 @@ def weights_by_enumeration(n1, n2):
         for k in range(n2):
             w[j + k] += 1
     return w
+
+
+def hankel_basis_matrix(i, shape):
+    """i-th orthonormal Hankel basis matrix, n1 x n2, supported on j + k = i."""
+    if not 0 <= i < shape.n:
+        raise IndexError("anti-diagonal index out of range")
+    w = weights_by_enumeration(shape.n1, shape.n2)
+    G = np.zeros((shape.n1, shape.n2))
+    j = np.arange(max(0, i - shape.n2 + 1), min(shape.n1 - 1, i) + 1)
+    G[j, i - j] = 1.0 / np.sqrt(w[i])
+    return G
 
 
 def lift_by_loops(X, shape):
@@ -74,6 +84,18 @@ def test_shape_validation():
         LiftShape(n=0, s=1, n1=1, n2=0)
     with pytest.raises(ValueError):
         LiftShape(n=4, s=0, n1=2, n2=3)
+    # a field that is no integer is named; a numpy integer is taken
+    for n1 in (5.5, 32.0, True):
+        with pytest.raises(ValueError,
+                           match="^n1 must be an integer, got %r$" % n1):
+            LiftShape.default(64, 3, n1)
+    with pytest.raises(ValueError, match=r"^n2 must be an integer, got 3\.0$"):
+        LiftShape(n=5, s=2, n1=3, n2=3.0)
+    with pytest.raises(ValueError,
+                       match=r"^n1 must be between 1 and n=64, got 70\.5$"):
+        LiftShape.default(64, 3, 70.5)
+    assert LiftShape.default(np.int64(64), 3, np.int32(5)) \
+        == LiftShape(n=64, s=3, n1=5, n2=60)
 
 
 def test_default_split():
