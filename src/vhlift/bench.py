@@ -3,8 +3,8 @@
 Two experiment drivers: a phase-transition grid that sweeps two of (n, r, s)
 while the third is fixed, counting exact-recovery successes of the convex
 program per cell, and an SNR sweep that measures frequency-estimation error
-(Hausdorff distance) of several estimators on a shared noisy instance per
-trial.
+(Hausdorff distance on the circle, so at most 0.5 cycles) of several
+estimators on a shared noisy instance per trial.
 
 Both drivers run their trials through `_run_tasks`, which alone holds the
 determinism contract: trial t of cell c draws its generator from
@@ -70,15 +70,6 @@ __all__ = [
 
 # ---------------------------------------------------------------- metrics
 
-METRICS = ("plain", "wraparound")  # the distances hausdorff_distance takes
-
-
-def check_metric(metric) -> None:
-    if metric not in METRICS:
-        raise ValueError("metric must be %s"
-                         % " or ".join(map(repr, METRICS)))
-
-
 def relative_error(X_hat: np.ndarray, X_ref: np.ndarray) -> float:
     """||X_hat - X_ref||_F / ||X_ref||_F, with 0/0 = 0 and x/0 = inf."""
     X_hat = np.asarray(X_hat)
@@ -97,7 +88,8 @@ def hausdorff_distance(taus, taus_hat, metric: str = "plain") -> float:
     """Symmetric worst-case nearest-neighbor distance between two
     frequency sets; metric "plain" uses |a - b|, "wraparound" the circular
     distance min(|a - b|, 1 - |a - b|)."""
-    check_metric(metric)
+    if metric not in ("plain", "wraparound"):
+        raise ValueError("metric must be 'plain' or 'wraparound'")
     a = np.atleast_1d(np.asarray(taus, dtype=np.float64))
     b = np.atleast_1d(np.asarray(taus_hat, dtype=np.float64))
     if a.size == 0 or b.size == 0:
@@ -111,6 +103,14 @@ def hausdorff_distance(taus, taus_hat, metric: str = "plain") -> float:
 # ---------------------------------------------------------------- phase grid
 
 PARAM_NAMES = ("n", "r", "s")
+
+
+def _check_seed(seed) -> int:
+    """A harness config's base seed: what SeedSequence takes."""
+    seed = check_integer("base_seed", seed)
+    if seed < 0:
+        raise ValueError("base_seed must be non-negative, got %d" % seed)
+    return seed
 
 
 @dataclass
@@ -138,6 +138,7 @@ class PhaseTransitionConfig:
         self.fixed = {k: check_integer("fixed " + str(k), v)
                       for k, v in self.fixed.items()}
         self.trials = check_integer("trials", self.trials)
+        self.base_seed = _check_seed(self.base_seed)
         names = {self.axis1_name, self.axis2_name, *self.fixed}
         if names != set(PARAM_NAMES) or len(self.fixed) != 1 \
                 or self.axis1_name == self.axis2_name:
@@ -323,7 +324,6 @@ class SweepConfig:
     trials: int = 100
     delta: float | None = 1.0 / 64
     orient_law: str = "gaussian"
-    metric: str = "plain"
     grid_step: float = GRID_STEP
     base_seed: int = 0
 
@@ -332,11 +332,11 @@ class SweepConfig:
         self.estimators = tuple(self.estimators)
         for name in ("n", "s", "r", "trials"):
             setattr(self, name, check_integer(name, getattr(self, name)))
+        self.base_seed = _check_seed(self.base_seed)
         if self.n < 1 or self.s < 1 or self.r < 1 or self.trials < 1:
             raise ValueError("n, s, r, trials must be positive")
         if not self.snr_db or not self.estimators:
             raise ValueError("need at least one SNR level and one estimator")
-        check_metric(self.metric)
         check_orient_law(self.orient_law)
         min_separation(self.r, self.delta)
         check_grid(self.grid_step, self.r)
@@ -363,7 +363,7 @@ def _sweep_trial(config: SweepConfig, snr: float,
     out = np.empty(len(config.estimators))
     for e, est in enumerate(config.estimators):
         taus_hat = estimate_frequencies(Xn, config.r, est, config.grid_step)
-        out[e] = hausdorff_distance(model.taus, taus_hat, config.metric)
+        out[e] = hausdorff_distance(model.taus, taus_hat, "wraparound")
     return out
 
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import io
 from .bench import (
-    METRICS,
     PhaseTransitionConfig,
     SweepConfig,
     run_phase_transition,
@@ -77,11 +76,17 @@ _int = _as(int, "an integer")
 _float = _as(float, "a number")
 
 
-def _positive_int(opts, key) -> int:
-    v = _int(opts, key)
-    if v < 1:
-        raise ValueError("%s must be positive, got %d" % (key, v))
-    return v
+def _int_from(low, what):
+    def parse(opts, key):
+        v = _int(opts, key)
+        if v < low:
+            raise ValueError("%s must be %s, got %d" % (key, what, v))
+        return v
+    return parse
+
+
+_positive_int = _int_from(1, "positive")
+_seed = _int_from(0, "non-negative")  # what SeedSequence takes
 
 
 def _optional(parse):
@@ -212,7 +217,7 @@ SYNTH = (
     Opt("n", 64, parse=_positive_int),
     Opt("s", 3, parse=_positive_int),
     Opt("r", 4, parse=_positive_int),
-    Opt("seed", 0, parse=_int),
+    Opt("seed", 0, parse=_seed),
     Opt("distribution", "gaussian", parse=_lower, help=DISTRIBUTION_HELP),
     Opt("snr", parse=_maybe_float, help="add noise to X.csv at this SNR"),
     Opt("delta", parse=_maybe_float, help="minimum wraparound separation"),
@@ -255,7 +260,7 @@ GRID = (  # PhaseTransitionConfig fields
         help="remaining parameter, e.g. n=64"),
     Opt("trials", field="trials", parse=_positive_int),
     Opt("threshold", field="threshold", parse=_float),
-    Opt("seed", field="base_seed", parse=_int),
+    Opt("seed", field="base_seed", parse=_seed),
     Opt("distribution", field="distribution", parse=_lower,
         help=DISTRIBUTION_HELP),
     Opt("delta", field="delta", parse=_maybe_float),
@@ -278,9 +283,8 @@ SWEEP = (  # SweepConfig fields, then threads
     Opt("trials", field="trials", parse=_positive_int),
     Opt("delta", field="delta", parse=_maybe_float),
     Opt("orient_law", field="orient_law", help=ORIENT_LAW_HELP),
-    Opt("metric", field="metric", help="one of %s" % ", ".join(METRICS)),
     Opt("grid_step", field="grid_step", parse=_float),
-    Opt("seed", field="base_seed", parse=_int),
+    Opt("seed", field="base_seed", parse=_seed),
     THREADS,
 )
 

@@ -26,6 +26,14 @@ __all__ = [
 ]
 
 
+def check_integer(name: str, value) -> int:
+    """value as an int; a bool, or a number that is not an integer such as
+    2.0, is rejected, and a numpy integer is taken."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    return int(value)
+
+
 @dataclass(frozen=True)
 class LiftShape:
     """Dimensions of the lift: s rows, n samples, split into n1 + n2 = n + 1."""
@@ -37,11 +45,7 @@ class LiftShape:
 
     def __post_init__(self):
         for field in fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, bool) \
-                    or not isinstance(value, numbers.Integral):
-                raise ValueError("%s must be an integer, got %r"
-                                 % (field.name, value))
+            check_integer(field.name, getattr(self, field.name))
         if self.n < 1 or self.s < 1:
             raise ValueError("n and s must be positive")
         if self.n1 < 1 or self.n2 < 1:

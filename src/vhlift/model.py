@@ -12,12 +12,11 @@ at a prescribed SNR, and conditioning diagnostics.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lift import LiftShape
+from .lift import LiftShape, check_integer
 
 __all__ = [
     "PointSourceModel",
@@ -143,14 +142,6 @@ def min_separation(r: int, delta: float | None) -> float:
 
 DISTRIBUTIONS = ("gaussian", "rademacher", "dftrows")  # any letter case
 ORIENT_LAWS = ("gaussian", "bernoulli")
-
-
-def check_integer(name: str, value) -> int:
-    """value as an int; a bool, or a number that is not an integer such as
-    2.0, is rejected, and a numpy integer is taken."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError("%s must be an integer, got %r" % (name, value))
-    return int(value)
 
 
 def check_distribution(distribution) -> None:

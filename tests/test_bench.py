@@ -194,6 +194,15 @@ NOT_INTEGERS = [
      "trials must be an integer, got '3'"),
     ("solver_max_iters_float", lambda: SolverConfig(max_iters=2.5),
      "max_iters must be an integer, got 2.5"),
+    # a seed is what SeedSequence takes, checked before any trial runs
+    ("grid_seed_float", lambda: small_phase_config(base_seed=1.5),
+     "base_seed must be an integer, got 1.5"),
+    ("grid_seed_negative", lambda: small_phase_config(base_seed=-1),
+     "base_seed must be non-negative, got -1"),
+    ("sweep_seed_float", lambda: small_sweep_config(base_seed=1.5),
+     "base_seed must be an integer, got 1.5"),
+    ("sweep_seed_negative", lambda: small_sweep_config(base_seed=-1),
+     "base_seed must be non-negative, got -1"),
 ]
 
 
@@ -442,7 +451,7 @@ def test_trials_follow_the_seed_contract():
                 expected = [hausdorff_distance(
                     model.taus, estimate_frequencies(Xn, cfg.r, est,
                                                      cfg.grid_step),
-                    cfg.metric) for est in cfg.estimators]
+                    "wraparound") for est in cfg.estimators]
                 np.testing.assert_array_equal(res.errors[:, si, t], expected)
     assert lines == ["snr=%g trial %d/2: %.3e"
                      % (snr, t + 1, np.max(res.errors[:, si, t]))
@@ -471,8 +480,9 @@ def small_sweep_config(**kw):
 
 
 def test_sweep_config_validation():
-    with pytest.raises(ValueError):
-        small_sweep_config(metric="euclidean")
+    # the sweep always measures on the circle; there is no metric to pick
+    with pytest.raises(TypeError, match="metric"):
+        small_sweep_config(metric="wraparound")
     with pytest.raises(ValueError):
         small_sweep_config(estimators=("mmv",), r=5)
     with pytest.raises(ValueError):
@@ -502,12 +512,31 @@ def test_sweep_config_validation():
                        grid_step=0.5).r == 2
 
 
+def test_sweep_error_is_measured_on_the_circle():
+    # base seed 82 draws a source at tau = 0.9976, within half a grid step
+    # of 1, so its estimate is the grid point 0: |tau - tau_hat| is near 1
+    # where the distance on the circle is below one step
+    cfg = SweepConfig(n=16, s=2, r=2, snr_db=(np.inf,),
+                      estimators=("vhm:2",), trials=1, delta=1.0 / 16,
+                      grid_step=1e-2, base_seed=82)
+    err = run_snr_sweep(cfg).errors[0, 0, 0]
+    g = np.random.default_rng(np.random.SeedSequence((82, 0, 0)))
+    model = sample_model(2, 2, seed=g, delta=cfg.delta)
+    X = add_noise(synthesize_data_matrix(model, 16), np.inf, seed=g)
+    with bench._one_blas_thread():
+        taus_hat = estimate_frequencies(X, 2, "vhm:2", cfg.grid_step)
+    assert np.max(model.taus) > 1 - cfg.grid_step / 2
+    assert hausdorff_distance(model.taus, taus_hat) > 0.5
+    assert err == hausdorff_distance(model.taus, taus_hat, "wraparound")
+    assert err < cfg.grid_step
+
+
 def test_sweep_runs_and_orders(tmp_path):
     cfg = small_sweep_config()
     res = run_snr_sweep(cfg)
     assert res.errors.shape == (3, 3, 3)
     assert np.all(np.isfinite(res.errors))
-    assert np.all(res.errors >= 0.0)
+    assert np.all((res.errors >= 0.0) & (res.errors <= 0.5))
     # noiseless column: every estimator is grid-exact
     assert np.all(res.mean_errors[:, 0] <= cfg.grid_step + 1e-12)
 

@@ -538,6 +538,7 @@ def test_parser_built_once_and_reused(tmp_path, capsys):
     ("solve", "--rank-cap", 2),
     ("phase-transition", "--values1", 1, "--values2", 1, "--fixed", "n=8",
      "--trials", 1, "--rank-cap", 2),
+    ("snr-sweep", "--trials", 1, "--metric", "plain"),
 ])
 def test_removed_flags_exit_2(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -643,20 +644,25 @@ def test_config_file_sampling_laws_checked_before_trials(tmp_path, capsys):
       "--trials", 2), "orient_law"),
     (("snr-sweep", "--n", 16, "--s", 2, "--r", 2, "--trials", 2,
       "--estimators", "vhm:1"), "orient_law"),
-    (("snr-sweep", "--n", 16, "--s", 2, "--r", 2, "--trials", 2,
-      "--estimators", "vhm:1"), "metric"),
+    (("synth",), "seed"),
     (("phase-transition", "--values1", 1, "--values2", 1, "--trials", 2),
      "fixed"),
+    (("phase-transition", "--values1", 1, "--values2", 1, "--fixed", "n=8",
+      "--trials", 2), "seed"),
+    (("snr-sweep", "--n", 16, "--s", 2, "--r", 2, "--trials", 2,
+      "--estimators", "vhm:1"), "seed"),
 ])
 def test_bad_flag_value_reported_like_config_value(tmp_path, capsys, argv,
                                                    key):
-    # one check, the library's, for a flag and a config file alike
+    # one check for a flag and a config file alike; a seed is an integer,
+    # so its bad value is a negative one
+    bad = -1 if key == "seed" else "x"
     out = tmp_path / "out"
     out.mkdir()
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: "x"}))
+    cfg.write_text(json.dumps({key: bad}))
     flag = "--" + key.replace("_", "-")
-    assert run_cli(*argv, flag, "x", "--out-dir", out) == 2
+    assert run_cli(*argv, flag, bad, "--out-dir", out) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: %s must be " % key)
     assert err.count("\n") == 1
@@ -799,8 +805,7 @@ def test_snr_sweep_outputs(tmp_path):
 def test_snr_sweep_validation(tmp_path):
     assert run_cli("snr-sweep", "--estimators", "vhm:0",
                    "--out-dir", tmp_path) == 2
-    assert run_cli("snr-sweep", "--metric", "plain", "--snr", "5;3",
-                   "--out-dir", tmp_path) == 2
+    assert run_cli("snr-sweep", "--snr", "5;3", "--out-dir", tmp_path) == 2
 
 
 def test_snr_sweep_model_order_checked_before_trials(tmp_path, capsys):
@@ -894,6 +899,7 @@ def test_config_file_errors(tmp_path, capsys):
     # a grid too coarse for r peaks is found before X.csv is read
     ("music", {"grid_step": 0.5, "x": "missing.csv"}, "grid_step 0.5 gives "
      "a grid of 2 points, fewer than the r=4 peaks to pick\n"),
+    ("snr-sweep", {"metric": "plain"}, "unknown config keys: metric\n"),
 ])
 def test_config_value_of_wrong_type_or_removed_key(tmp_path, monkeypatch, capsys, command,
                                     doc, message):
@@ -942,8 +948,8 @@ CONFIG_KEYS = {
     "phase-transition": "axis1 values1 axis2 values2 fixed trials threshold "
                         "seed distribution delta orient_law rho tol "
                         "max_iters threads out_dir",
-    "snr-sweep": "n s r snr estimators trials delta orient_law metric "
-                 "grid_step seed threads out_dir",
+    "snr-sweep": "n s r snr estimators trials delta orient_law grid_step "
+                 "seed threads out_dir",
 }
 
 
