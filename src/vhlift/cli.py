@@ -226,7 +226,8 @@ SYNTH = (
 
 SOLVER = (  # SolverConfig fields
     Opt("rho", field="rho", parse=_float,
-        help="inverse SVT threshold, relative to unit-RMS data"),
+        help="starting penalty, the inverse of the first SVT threshold, "
+        "relative to unit-RMS data"),
     Opt("tol", field="tol_rel", parse=_float),
     Opt("max_iters", field="max_iters", parse=_positive_int),
 )
@@ -422,7 +423,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print("I/O error: %s" % exc, file=sys.stderr)
         return EXIT_IO
-    except (ValueError, KeyError) as exc:
+    # OverflowError: a result that float64 cannot hold, such as solve's
+    # X_hat at the edge of the range of y
+    except (ValueError, KeyError, OverflowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,7 +13,13 @@ per-column closed form: the unconstrained minimizer of
 re-imposing the scalar constraint on column j is a rank-one Euclidean
 projection.  The Z-update is singular value thresholding at 1/rho, taken
 from the eigendecomposition of the Gram matrix on the smaller side of the
-lift (n2 x n2 for the tall lifts of s >= 2).
+lift (n2 x n2 for the tall lifts of s >= 2).  rho is the penalty the solve
+starts from; residual balancing (Boyd et al. 2011, section 3.4.1) then
+multiplies or divides it by RHO_FACTOR whenever one residual exceeds
+RHO_BALANCE times the other, at least RHO_PERIOD evaluations after the last
+change.  It stops after RHO_CHANGES changes, so that the penalty is fixed
+from some iteration on, as the convergence result for a varying penalty
+requires (He, Yang & Wang 2000).
 
 The loop runs the ADMM in its one-variable Douglas-Rachford form.  The
 state is the lift-sized A = vec_hankel(X) - U, and one evaluation of the
@@ -32,12 +38,16 @@ Every X is the output of project_feasible, so every iterate is feasible,
 and the iteration count is the number of evaluations of T, rejected mixed
 points included.
 
+A change of penalty changes the map T.  The loop then restarts from the
+plain step with the dual Lam = rho U held, A <- HX - U rho_old / rho_new,
+and drops the Anderson history, whose differences belong to the old map.
+
 The program is scale-equivariant (if X* solves it for y, c X* solves it for
-c y), but a fixed threshold 1/rho is not.  So the iteration runs on
-y / rms(y), with rms(y) = ||y||_2 / sqrt(n) taken as 1 for y = 0, and the
-iterate is scaled back on return.  rho is thus the inverse SVT threshold
-relative to unit-RMS data, and neither the iteration count nor X_hat / c
-depends on the units of y.
+c y), but a threshold 1/rho is not.  So the iteration runs on y / rms(y),
+with rms(y) = ||y||_2 / sqrt(n) taken as 1 for y = 0, and the iterate is
+scaled back on return.  The starting penalty is thus relative to unit-RMS
+data, and neither the iteration count nor X_hat / c depends on the units
+of y.
 """
 
 from __future__ import annotations
@@ -53,6 +63,12 @@ from .model import apply_measurement, apply_measurement_adjoint, check_integer
 # history pairs each Anderson step mixes; ROADMAP lists the iteration counts
 # measured at other depths
 ANDERSON_DEPTH = 3
+# residual balancing of the penalty, as the module docstring describes;
+# ROADMAP lists the iteration counts of other values
+RHO_BALANCE = 3.0
+RHO_FACTOR = 1.5
+RHO_PERIOD = 10
+RHO_CHANGES = 20
 
 __all__ = [
     "SolverConfig",
@@ -63,12 +79,18 @@ __all__ = [
 ]
 
 
+def _usable_rho(rho: float) -> bool:
+    """A penalty whose SVT threshold 1/rho is positive and finite."""
+    return 0 < rho < math.inf and 1 / rho < math.inf
+
+
 @dataclass
 class SolverConfig:
-    """ADMM settings.  The solve runs on y / rms(y), so rho is the inverse
-    SVT threshold relative to unit-RMS data and tol_rel bounds the residuals
-    of that normalised problem.  max_iters caps the evaluations of the
-    fixed-point map, each one SVT, rejected Anderson points included."""
+    """ADMM settings.  The solve runs on y / rms(y), so rho, the starting
+    penalty (the inverse of the first SVT threshold), is relative to
+    unit-RMS data, and tol_rel bounds the residuals of that normalised
+    problem.  max_iters caps the evaluations of the fixed-point map, each
+    one SVT, rejected Anderson points included."""
 
     rho: float = 1.0
     max_iters: int = 5000
@@ -77,7 +99,7 @@ class SolverConfig:
     def __post_init__(self):
         # rho = inf makes the SVT threshold 0, and tol_rel = inf stops
         # the solve at its first iterate
-        if not (0 < self.rho < math.inf and 1 / self.rho < math.inf):
+        if not _usable_rho(self.rho):
             raise ValueError("rho must be positive and finite, with a finite "
                              "inverse, got %r" % (self.rho,))
         if not 0 < self.tol_rel < math.inf:
@@ -202,6 +224,12 @@ class _AndersonMixer:
             self.step -= mix.view(np.complex64)
         A += self.step.reshape(A.shape)
 
+    def reset(self) -> None:
+        """Forget every point, keeping the rows: the next advance() takes
+        the plain step and forms no difference with the points before."""
+        self.pairs = 0
+        self.started = self.mixed = False
+
 
 def solve_vhl(y: np.ndarray, B: np.ndarray, shape: LiftShape,
               config: SolverConfig | None = None) -> SolveReport:
@@ -211,9 +239,10 @@ def solve_vhl(y: np.ndarray, B: np.ndarray, shape: LiftShape,
     returned X_hat is always feasible; converged=False only means the
     primal/dual residuals did not both reach tol_rel within max_iters.
     The iteration runs on y / c with c = rms(y), and the reported residuals
-    are those of that normalised problem.  With s = 1 the measurements fix
-    X outright: the least-norm feasible start is returned as converged
-    after one iteration with zero residuals.
+    are those of that normalised problem; OverflowError is raised when
+    X_hat = c X or its nuclear norm is too large for float64.  With s = 1
+    the measurements fix X outright: the least-norm feasible start is
+    returned as converged after one iteration with zero residuals.
     """
     if config is None:
         config = SolverConfig()
@@ -233,15 +262,18 @@ def solve_vhl(y: np.ndarray, B: np.ndarray, shape: LiftShape,
         raise ValueError("sensing matrix has a zero row; that measurement "
                          "constrains nothing")
 
-    # c = rms(y), taken on y / max|y| so that no finite y overflows it
+    # c = rms(y), taken on y / max|y| so that no finite y overflows it:
+    # c <= max|y|
     peak = float(np.max(np.abs(y)))
-    c = peak * float(np.linalg.norm(y / peak)) / np.sqrt(shape.n) \
+    c = peak * (float(np.linalg.norm(y / peak)) / math.sqrt(shape.n)) \
         if peak > 0.0 else 1.0
     y = y / c
 
     w = hankel_weights(shape).astype(np.float64)
     sqrt_w = np.sqrt(w)
-    inv_rho = 1.0 / config.rho
+    # a Python float: a penalty change past float64's range gives inf or
+    # 0, which the loop skips, where a numpy scalar would warn
+    rho = float(config.rho)
 
     def project_feasible(M):
         # rank-one correction per column, in place: enforce B[j,:] x_j = y[j]
@@ -263,10 +295,10 @@ def solve_vhl(y: np.ndarray, B: np.ndarray, shape: LiftShape,
         hist_p, hist_d = [], []
         primal = np.inf
         dual = np.inf
-        it = 0
+        it = last_change = changes = 0
         converged = False
         for it in range(1, config.max_iters + 1):
-            Z = svt(A, inv_rho)
+            Z = svt(A, 1.0 / rho)
             U = Z - A
             X_new = project_feasible(vec_hankel_adjoint(Z + U, shape) / w)
             HX = vec_hankel(X_new, shape)
@@ -276,22 +308,42 @@ def solve_vhl(y: np.ndarray, B: np.ndarray, shape: LiftShape,
             primal = f_norm / max(1.0, _fro(HX))
             # rho ||vec_hankel(dX)||_F / max(1, ||Lam||_F) written in U,
             # with the lift's norm from the diagonal weighting
-            dual = _fro((X_new - X) * sqrt_w) / max(inv_rho, _fro(U))
+            dual = _fro((X_new - X) * sqrt_w) / max(1.0 / rho, _fro(U))
             X = X_new
             hist_p.append(primal)
             hist_d.append(dual)
             if primal <= config.tol_rel and dual <= config.tol_rel:
                 converged = True
                 break
+            if changes < RHO_CHANGES and it - last_change >= RHO_PERIOD:
+                new_rho = rho
+                if primal > RHO_BALANCE * dual:
+                    new_rho = rho * RHO_FACTOR
+                elif dual > RHO_BALANCE * primal:
+                    new_rho = rho / RHO_FACTOR
+                if new_rho != rho and _usable_rho(new_rho):
+                    # the plain step under the new penalty, Lam = rho U held
+                    U *= rho / new_rho
+                    np.subtract(HX, U, out=A)
+                    mixer.reset()
+                    rho, last_change, changes = new_rho, it, changes + 1
+                    continue
             mixer.advance(A, f, f_norm)
 
-    X_hat = c * X
+    # the iterate is scaled back last; y is finite, but c X or c ||HX||_*
+    # may not be
+    with np.errstate(over="ignore", invalid="ignore"):
+        X_hat = c * X
+    norm = c * nuclear_norm(vec_hankel(X, shape))
+    if not (math.isfinite(norm) and np.all(np.isfinite(X_hat))):
+        raise OverflowError("X_hat or its nuclear norm overflows float64 at "
+                            "this scale of y (rms %.3g)" % c)
     return SolveReport(
         X_hat=X_hat,
         iters=it,
         primal_residual=float(primal),
         dual_residual=float(dual),
-        nuclear_norm=nuclear_norm(vec_hankel(X_hat, shape)),
+        nuclear_norm=norm,
         converged=converged,
         primal_history=np.array(hist_p),
         dual_history=np.array(hist_d),

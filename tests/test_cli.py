@@ -281,6 +281,57 @@ def test_solve_iterations_do_not_depend_on_data_units(tmp_path, capsys):
     assert " in %d iters," % iters in capsys.readouterr().out
 
 
+def test_solve_starting_penalty_moves_little(tmp_path):
+    # --rho only starts the penalty, which residual balancing then adapts:
+    # the same X_hat from 0.01, 1 and 100, in iteration counts closer
+    # together than the 177, 117 and 284 of a fixed penalty
+    model_path, _, y_path = synth_files(tmp_path)
+    _, B = io.read_problem(model_path)
+    y = io.read_complex_vector_csv(y_path)
+    X_hats, iters = [], []
+    for rho in (0.01, 1, 100):
+        out = tmp_path / ("rho%g" % rho)
+        out.mkdir()
+        assert run_cli("solve", "--model", model_path, "--y", y_path,
+                       "--rho", rho, "--out-dir", out) == 0
+        X_hat = io.read_complex_matrix_csv(out / "Xhat.csv")
+        assert np.linalg.norm(apply_measurement(X_hat, B) - y) \
+            <= 1e-10 * np.linalg.norm(y)
+        X_hats.append(X_hat)
+        iters.append(json.loads((out / "report.json").read_text())["iters"])
+    for X_hat in X_hats[1:]:
+        assert np.linalg.norm(X_hat - X_hats[0]) \
+            <= 1e-6 * np.linalg.norm(X_hats[0])
+    assert max(iters) - min(iters) < 284 - 117
+
+
+def test_solve_at_the_edge_of_float64(tmp_path, capsys):
+    # the solve runs on y / rms(y) and scales X_hat and its nuclear norm
+    # back last: finite JSON while they fit in float64, and exit 2 naming
+    # the overflow, with nothing written, once they do not
+    model_path, _, y_path = synth_files(tmp_path)
+    y = io.read_complex_vector_csv(y_path)
+    assert run_cli("solve", "--model", model_path, "--y", y_path,
+                   "--out-dir", tmp_path) == 0
+    norm = json.loads((tmp_path / "report.json").read_text())["nuclear_norm"]
+    # the nuclear norm is 556 at factor 1, so 1e306 takes it past 1.8e308
+    for factor, code in ((1e305, 0), (1e306, 2), (1e307, 2)):
+        out = tmp_path / ("y%g" % factor)
+        out.mkdir()
+        io.write_complex_vector_csv(out / "y.csv", factor * y)
+        capsys.readouterr()
+        assert run_cli("solve", "--model", model_path, "--y", out / "y.csv",
+                       "--out-dir", out) == code
+        if code == 0:
+            doc = json.loads((out / "report.json").read_text(),
+                             parse_constant=_reject_constant)
+            assert doc["nuclear_norm"] == pytest.approx(factor * norm,
+                                                        rel=1e-9)
+        else:
+            assert "overflows float64" in capsys.readouterr().err
+            assert list(out.iterdir()) == [out / "y.csv"]
+
+
 def test_solve_zero_measurements(tmp_path):
     model_path, _, y_path = synth_files(tmp_path)
     io.write_complex_vector_csv(y_path, np.zeros(64, dtype=np.complex128))

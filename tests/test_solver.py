@@ -281,13 +281,16 @@ def unscaled_admm(y, B, shape, rho, max_iters=5000):
     """The plain ADMM loop in the unscaled-dual form, Lam / rho formed in
     each update, kept frozen as the reference whose iterates solve_vhl's
     plain step follows and whose minimiser its accelerated loop must reach
-    (s >= 2, default tol_rel)."""
+    (s >= 2, default tol_rel).  rho is one penalty, or one per step, the
+    last repeated: a change takes effect at the Z-update with Lam held, so
+    each X-update divides Lam by the penalty of the step before."""
     B = np.asarray(B, dtype=np.complex128)
     row_sq = np.sum(np.abs(B) ** 2, axis=1)
     peak = float(np.max(np.abs(y)))
     c = peak * float(np.linalg.norm(y / peak)) / np.sqrt(shape.n)
     y = y / c
     w = hankel_weights(shape).astype(np.float64)
+    rhos = np.atleast_1d(rho)
 
     def project_feasible(M):
         resid = y - apply_measurement(M, B)
@@ -297,12 +300,13 @@ def unscaled_admm(y, B, shape, rho, max_iters=5000):
     Z = vec_hankel(X, shape)
     Lam = np.zeros_like(Z)
     converged = False
+    rho = rhos[0]
     for it in range(1, max_iters + 1):
-        scaled_dual = Lam / rho
-        M = vec_hankel_adjoint(Z + scaled_dual, shape) / w
+        M = vec_hankel_adjoint(Z + Lam / rho, shape) / w
+        rho = rhos[min(it, len(rhos)) - 1]
         X_new = project_feasible(M)
         HX = vec_hankel(X_new, shape)
-        Z = svt(HX - scaled_dual, 1.0 / rho)
+        Z = svt(HX - Lam / rho, 1.0 / rho)
         gap = Z - HX
         Lam += rho * gap
         primal = np.linalg.norm(gap) / max(1.0, np.linalg.norm(HX))
@@ -326,6 +330,28 @@ class _PlainStep:
     def advance(self, A, f, f_norm):
         A += f
 
+    def reset(self):
+        pass
+
+
+def _recorded_thresholds(monkeypatch):
+    """The SVT threshold of every evaluation solve_vhl makes from here on;
+    svt takes a wide lift through a second call on its transpose."""
+    thresholds = []
+    svt_ = solver.svt
+
+    def recording_svt(M, threshold):
+        if M.shape[0] >= M.shape[1]:
+            thresholds.append(threshold)
+        return svt_(M, threshold)
+
+    monkeypatch.setattr(solver, "svt", recording_svt)
+    return thresholds
+
+
+def _changes(thresholds):
+    return sum(a != b for a, b in zip(thresholds, thresholds[1:]))
+
 
 # s and n1 of each lift; n1 = None is the near-square split, whose lifts
 # are tall, and n1 = 8 gives a wide 16 x 25 lift, which svt transposes
@@ -338,18 +364,26 @@ def test_scaled_dual_matches_unscaled_form(s, n1, monkeypatch):
     # with the mixing off, solve_vhl's loop is the plain ADMM in the scaled
     # dual, run as its Douglas-Rachford map on A = HX - U; its X iterates
     # are the unscaled form's one step on, since the reference's first step
-    # returns the feasible start
+    # returns the feasible start.  The reference replays the penalties
+    # that solve_vhl's SVT thresholds record, and at least one compared
+    # window holds a change
     monkeypatch.setattr(solver, "_AndersonMixer", _PlainStep)
+    thresholds = _recorded_thresholds(monkeypatch)
     _, B, X, y = _instance(32, s, 2, seed=40 + s)
     shape = LiftShape.default(32, s, n1)
+    changed = []
     for rho in (1.0, 0.5):
         for k in (1, 20, 50):
-            X_ref, _, converged = unscaled_admm(y, B, shape, rho,
-                                                max_iters=k + 1)
+            thresholds.clear()
             rep = solve_vhl(y, B, shape, SolverConfig(rho=rho, max_iters=k))
+            assert thresholds[0] == 1.0 / rho and len(thresholds) == k
+            X_ref, _, converged = unscaled_admm(
+                y, B, shape, 1.0 / np.array(thresholds), max_iters=k + 1)
             assert not converged and not rep.converged and rep.iters == k
             assert np.linalg.norm(rep.X_hat - X_ref) \
                 <= 1e-12 * np.linalg.norm(X_ref)
+            changed.append(_changes(thresholds) > 0)
+    assert any(changed)
 
 
 @pytest.mark.parametrize("rho", [0.5, 1.0])
@@ -440,3 +474,37 @@ def test_safeguard_restart_still_converges_feasible(monkeypatch):
     assert rep.converged
     assert np.max(np.abs(apply_measurement(rep.X_hat, B) - y)) < 1e-10
     assert np.linalg.norm(rep.X_hat - X) / np.linalg.norm(X) < 1e-3
+
+
+@pytest.mark.parametrize("rho", [1e-300, 1e300])
+def test_extreme_starting_penalty_stays_finite_and_feasible(rho, monkeypatch):
+    # the residuals stay unbalanced at either end, so the penalty moves at
+    # every chance until the cap stops it: 20 changes in the first 200
+    # evaluations, none in the last 50
+    thresholds = _recorded_thresholds(monkeypatch)
+    _, B, X, y = _instance(16, 2, 1, seed=0)
+    rep = solve_vhl(y, B, LiftShape.default(16, 2),
+                    SolverConfig(rho=rho, max_iters=250))
+    assert len(thresholds) == rep.iters == 250
+    assert all(0 < t < np.inf for t in thresholds)
+    assert _changes(thresholds) == solver.RHO_CHANGES
+    assert len(set(thresholds[-50:])) == 1
+    assert np.all(np.isfinite(rep.X_hat))
+    assert np.linalg.norm(apply_measurement(rep.X_hat, B) - y) \
+        <= 1e-8 * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("rho, changes", [(1e-308, 1), (1.7e308, 0)])
+def test_penalty_change_that_leaves_float64_is_skipped(rho, changes,
+                                                       monkeypatch):
+    # a factor below 1 turns each change toward the end of the range that
+    # rho starts near: 1.7e308 * 1.5 overflows, and 1e-308 / 1.5**2 has
+    # no finite inverse, so those changes are skipped
+    monkeypatch.setattr(solver, "RHO_FACTOR", 1 / 1.5)
+    thresholds = _recorded_thresholds(monkeypatch)
+    _, B, X, y = _instance(16, 2, 1, seed=0)
+    rep = solve_vhl(y, B, LiftShape.default(16, 2),
+                    SolverConfig(rho=rho, max_iters=100))
+    assert all(0 < t < np.inf for t in thresholds)
+    assert _changes(thresholds) == changes
+    assert np.all(np.isfinite(rep.X_hat))
